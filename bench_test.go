@@ -265,19 +265,40 @@ func BenchmarkC4Sequential(b *testing.B) {
 	}
 }
 
-// BenchmarkC5TwoPass runs the congestion flow on the funnel workload.
+// BenchmarkC5TwoPass runs the paper's two-pass congestion flow (one
+// penalized reroute pass, no history) on the funnel workload.
 func BenchmarkC5TwoPass(b *testing.B) {
 	l := funnelForBench()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := congest.TwoPass(l, 2, 300, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Before.TotalOverflow() == 0 {
+		res := engineNegotiate(b, l, congest.Config{Pitch: 2, Weight: 300, MaxPasses: 2, Workers: 1})
+		if res.Passes[0].Overflow == 0 {
 			b.Fatal("bench workload should congest")
 		}
 	}
+}
+
+// engineNegotiate runs one negotiation of l through a fresh Engine. Every
+// congest.Config field the benchmarks use is mapped to its option, because
+// the Engine's own defaults (pitch, penalty weight, history gain 1) differ
+// from the zero Config.
+func engineNegotiate(b *testing.B, l *layout.Layout, cfg congest.Config) *genroute.NegotiatedResult {
+	b.Helper()
+	e, err := genroute.NewEngine(l,
+		genroute.WithPitch(cfg.Pitch),
+		genroute.WithPenaltyWeight(cfg.Weight),
+		genroute.WithMaxPasses(cfg.MaxPasses),
+		genroute.WithHistory(cfg.HistoryGain, cfg.HistoryWeight),
+		genroute.WithWeightStep(cfg.WeightStep),
+		genroute.WithWorkers(cfg.Workers))
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := e.RouteNegotiated(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
 }
 
 // BenchmarkNegotiatedCongestion runs the N-pass negotiated engine on the
@@ -290,8 +311,10 @@ func BenchmarkNegotiatedCongestion(b *testing.B) {
 		cfg   congest.Config
 		build func() (*layout.Layout, error)
 	}{
-		// Pitches are chosen so the first pass overflows and the loop needs
-		// 2 (PolyChip) and 3 (GridOfMacros) passes to drain it.
+		// At pitch 16 PolyChip's first pass overflows and the loop drains it
+		// in 2 passes. GridOfMacros never drains: its gaps (12) are narrower
+		// than the pitch, so every passage has capacity 0 and the loop runs
+		// all 8 passes, stopping at overflow 20.
 		{"PolyChip", congest.Config{Pitch: 16, Weight: 100, MaxPasses: 8, HistoryGain: 1},
 			func() (*layout.Layout, error) { return gen.PolyChip(11, 12, 30) }},
 		{"GridOfMacros", congest.Config{Pitch: 16, Weight: 100, MaxPasses: 8, HistoryGain: 1},
@@ -320,10 +343,7 @@ func BenchmarkNegotiatedCongestion(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					cfg := sc.cfg
 					cfg.Workers = workers
-					res, err := congest.Negotiate(l, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
+					res := engineNegotiate(b, l, cfg)
 					passes = len(res.Passes)
 					overflow = res.Passes[passes-1].Overflow
 				}
@@ -346,13 +366,10 @@ func macroNegotiate(b *testing.B, n int, pitch geom.Coord) {
 	b.ResetTimer()
 	var passes, overflow int
 	for i := 0; i < b.N; i++ {
-		res, err := congest.Negotiate(l, congest.Config{
+		res := engineNegotiate(b, l, congest.Config{
 			Pitch: pitch, Weight: 40, WeightStep: 40, HistoryWeight: 10,
 			HistoryGain: 1, MaxPasses: 12, Workers: 0,
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
 		passes = len(res.Passes)
 		overflow = res.Passes[passes-1].Overflow
 	}

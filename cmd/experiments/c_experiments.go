@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/gridrouter"
 	"repro/internal/hightower"
+	"repro/internal/layout"
 	"repro/internal/plane"
 	"repro/internal/router"
 	"repro/internal/search"
@@ -230,26 +232,48 @@ func runC5(cfg runConfig) {
 	t := &table{header: []string{"nets", "slit capacity", "overflow pass1", "overflow pass2",
 		"rerouted", "len pass1", "len pass2"}}
 	for _, nNets := range []int{4, 8, 12} {
-		l := funnelLayout(nNets)
-		res, err := congest.TwoPass(l, 2, 300, 1)
-		if err != nil {
-			panic(err)
-		}
+		res, passages := negotiate(funnelLayout(nNets), twoPass(300))
 		cap := "-"
-		for _, p := range res.Before.Passages {
+		for _, p := range passages {
 			if p.Between == [2]int{0, 1} || p.Between == [2]int{1, 0} {
 				cap = fmt.Sprint(p.Capacity)
 			}
 		}
-		if res.Second == nil {
-			t.add(nNets, cap, res.Before.TotalOverflow(), "-", 0, res.First.TotalLength, "-")
+		first := res.Passes[0]
+		if len(res.Passes) == 1 {
+			t.add(nNets, cap, first.Overflow, "-", 0, first.TotalLength, "-")
 			continue
 		}
-		t.add(nNets, cap, res.Before.TotalOverflow(), res.After.TotalOverflow(),
-			len(res.Rerouted), res.First.TotalLength, res.Second.TotalLength)
+		second := res.Passes[1]
+		t.add(nNets, cap, first.Overflow, second.Overflow,
+			len(second.Rerouted), first.TotalLength, second.TotalLength)
 	}
 	t.print()
 	fmt.Println("  (the second pass trades wirelength for overflow relief, as the paper expects)")
+}
+
+// twoPass configures the paper's two-pass flow at pitch 2: one penalized
+// reroute pass, no history.
+func twoPass(weight geom.Coord) congest.Config {
+	return congest.Config{Pitch: 2, Weight: weight, MaxPasses: 2, Workers: 1}
+}
+
+// negotiate extracts l's passages at cfg.Pitch and runs the negotiated loop
+// over them, returning the result and the passage set.
+func negotiate(l *layout.Layout, cfg congest.Config) (*congest.NegotiateResult, []congest.Passage) {
+	ix, err := plane.FromLayout(l)
+	if err != nil {
+		panic(err)
+	}
+	passages, err := congest.Extract(ix, cfg.Pitch)
+	if err != nil {
+		panic(err)
+	}
+	res, err := congest.NegotiatePrepared(context.Background(), l, ix, passages, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return res, passages
 }
 
 // runC7 iterates the congestion loop to convergence: the negotiated engine
@@ -264,12 +288,9 @@ func runC7(cfg runConfig) {
 	}
 	for _, nNets := range sizes {
 		l := funnelLayout(nNets)
-		res, err := congest.Negotiate(l, congest.Config{
+		res, _ := negotiate(l, congest.Config{
 			Pitch: 2, Weight: 60, MaxPasses: 8, Workers: 1, HistoryGain: 1,
 		})
-		if err != nil {
-			panic(err)
-		}
 		trail := ""
 		for i, p := range res.Passes {
 			if i > 0 {
@@ -277,14 +298,8 @@ func runC7(cfg runConfig) {
 			}
 			trail += fmt.Sprint(p.Overflow)
 		}
-		two, err := congest.TwoPass(l, 2, 60, 1)
-		if err != nil {
-			panic(err)
-		}
-		twoOver := two.Before.TotalOverflow()
-		if two.After != nil {
-			twoOver = two.After.TotalOverflow()
-		}
+		two, _ := negotiate(l, twoPass(60))
+		twoOver := two.Passes[len(two.Passes)-1].Overflow
 		t.add(nNets, len(res.Passes), trail, res.Converged, twoOver,
 			res.Passes[len(res.Passes)-1].TotalLength)
 	}

@@ -434,7 +434,7 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	e.r = router.New(ix2, e.cfg.opts)
 	e.reindexNets()
 	final := cur2
-	if len(rres.Results) > 0 {
+	if len(rres.Passes) > 0 {
 		final = rres.Final()
 	} else {
 		// No repair pass ran (pure removals, nothing dirty, no overflow):

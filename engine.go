@@ -64,9 +64,9 @@ type Engine struct {
 	// exclusively; everything else reads under RLock.
 	mu sync.RWMutex
 
-	l   *Layout        //grlint:guardedby mu
-	cfg config         //grlint:guardedby mu
-	ix  *plane.Index   //grlint:guardedby mu
+	l   *Layout      //grlint:guardedby mu
+	cfg config       //grlint:guardedby mu
+	ix  *plane.Index //grlint:guardedby mu
 	// spans maps each layout cell to the half-open obstacle-id range it
 	// contributed to ix; ECO cell moves splice exactly those ids.
 	spans    [][2]int          //grlint:guardedby mu
@@ -227,14 +227,18 @@ func (e *Engine) RouteAll(ctx context.Context) (*Result, error) {
 	return res, err
 }
 
-// RouteNegotiated iterates the negotiated-congestion loop over the prepared
-// session (see RouteNegotiated at package level for the algorithm),
-// replacing the session's routing state with the final pass. The progress
-// observer receives one "negotiate" event per pass. On cancellation or
-// deadline expiry the best pass seen so far — minimum overflow, then most
-// nets routed — is installed and the passes completed are returned together
-// with the context's error. With WithCheckpointFile, the run also persists
-// a restartable checkpoint that Engine.ResumeNegotiated can continue from.
+// RouteNegotiated iterates the paper's congestion loop over the prepared
+// session: route every net, measure passage overflow, rip up and reroute
+// the nets through overflowed passages against a present-plus-history
+// penalty, and repeat until overflow reaches zero or the pass budget runs
+// out (congest.NegotiatePrepared has the details). WithMaxPasses(2) with
+// WithHistory(0, 0) is the paper's plain two-pass flow. The session's
+// routing state is replaced with the final pass. The progress observer
+// receives one "negotiate" event per pass. On cancellation or deadline
+// expiry the best pass seen so far — minimum overflow, then most nets
+// routed — is installed and the passes completed are returned together with
+// the context's error. With WithCheckpointFile, the run also persists a
+// restartable checkpoint that Engine.ResumeNegotiated can continue from.
 func (e *Engine) RouteNegotiated(ctx context.Context) (*NegotiatedResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

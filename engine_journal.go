@@ -83,14 +83,15 @@ func (e *Engine) CloseJournal() error {
 
 // journalRebase builds a rebase base state from the *current* session
 // state: the layout as JSON plus a full Save frame. Callers hold mu (any
-// mode — only reads happen here).
+// mode — only reads happen here). Both encodes pass through the
+// faultinject.SnapshotWrite seam, labelled with the journal path.
 func (e *Engine) journalRebase() (journal.Rebase, error) {
 	var lbuf bytes.Buffer
-	if err := e.l.WriteJSON(&lbuf); err != nil {
+	if err := e.l.WriteJSON(faultableWriter{w: &lbuf, label: e.cfg.jrnlPath}); err != nil {
 		return journal.Rebase{}, err
 	}
 	var sbuf bytes.Buffer
-	if err := e.saveLocked(&sbuf); err != nil {
+	if err := e.saveLocked(faultableWriter{w: &sbuf, label: e.cfg.jrnlPath}); err != nil {
 		return journal.Rebase{}, err
 	}
 	return journal.Rebase{LayoutJSON: lbuf.Bytes(), Session: sbuf.Bytes()}, nil
@@ -133,15 +134,17 @@ func (e *Engine) journalAppendLocked(tx *Edit, postHash uint64) error {
 // journalCompactLocked folds the journal into a fresh base built from the
 // just-installed state, when it has outgrown its thresholds. Called under
 // the exclusive lock after the install. Failure is non-fatal — the commit
-// is already durable in the un-folded journal; the error is retained in
-// the journal's Stats and the next commit retries.
+// is already durable in the un-folded journal; the error, whether from
+// building the base or from the fold itself, is retained as the journal's
+// Stats().LastErr and the next commit retries.
 func (e *Engine) journalCompactLocked() {
 	if e.jr == nil || !e.jr.ShouldCompact() {
 		return
 	}
 	rb, err := e.journalRebase()
 	if err != nil {
-		return // surfaced via Stats on the next failed fold; base build failures are transient
+		e.jr.RecordErr(fmt.Errorf("compaction base: %w", err))
+		return
 	}
 	e.jr.Compact(rb)
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -116,6 +117,32 @@ func TestJournalReplayAfterCompaction(t *testing.T) {
 	}
 	if len(s.Records) != st.Records {
 		t.Fatalf("on-disk records %d, stats say %d", len(s.Records), st.Records)
+	}
+	checkRecovered(t, e, path)
+}
+
+// TestJournalCompactionBaseFailureSurfaces: when the compaction base cannot
+// be encoded, the commit still succeeds (it is durable in the un-folded
+// journal), the failure shows in JournalStats().LastErr, and the next
+// commit folds the journal.
+func TestJournalCompactionBaseFailureSurfaces(t *testing.T) {
+	e, path := journaledEngine(t, 3, WithJournalCompaction(2, 0))
+	maxX := e.Layout().Bounds.MaxX
+	// The first commit creates the journal and its base; let it through.
+	commitOps(t, e, func(tx *Edit) error { return tx.AddNet(padNet("c_a", 3, maxX)) })
+	restore := failSnapshotWrites(path, 0)
+	commitOps(t, e, func(tx *Edit) error { return tx.AddNet(padNet("c_b", 5, maxX)) })
+	restore()
+	st, ok := e.JournalStats()
+	if !ok {
+		t.Fatal("no journal stats")
+	}
+	if st.Records != 2 || !strings.Contains(st.LastErr, faultinject.ErrInjected.Error()) {
+		t.Fatalf("after a failed base build: %+v, want 2 unfolded records and the injected error", st)
+	}
+	commitOps(t, e, func(tx *Edit) error { return tx.AddNet(padNet("c_c", 7, maxX)) })
+	if st, _ = e.JournalStats(); st.Records != 0 || st.LastErr != "" {
+		t.Fatalf("retry did not fold the journal: %+v", st)
 	}
 	checkRecovered(t, e, path)
 }

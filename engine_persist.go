@@ -207,16 +207,20 @@ func (e *Engine) negotiateConfig() congest.Config {
 // caller wants to keep. The History installed is the whole run's (it
 // accrues monotonically and seeds any follow-up negotiation).
 func (e *Engine) installNegotiated(res *congest.NegotiateResult, err error) {
-	if res == nil || len(res.Results) == 0 {
+	if res == nil || len(res.Passes) == 0 {
 		return
 	}
-	k := len(res.Results) - 1
-	if err != nil {
-		if b := res.BestPass(); b >= 0 {
-			k = b
-		}
+	history := append([]int(nil), res.History...)
+	if err != nil && res.BestPass() < len(res.Passes)-1 {
+		// A map depends only on its routes; the run keeps just the final
+		// one, so the best pass's map is rebuilt.
+		best := res.Best()
+		e.setState(best, congest.BuildMap(e.passages, netSegments(best)), history)
+		return
 	}
-	e.setState(res.Results[k], res.Maps[k].Clone(), append([]int(nil), res.History...))
+	// The session keeps its own copy of the map, so nothing it does later
+	// can change the map the caller holds as res.FinalMap().
+	e.setState(res.Final(), res.FinalMap().Clone(), history)
 }
 
 // SaveFile writes the session snapshot (see Save) to path atomically:

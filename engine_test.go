@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"repro/internal/congest"
+	"repro/internal/plane"
+	"repro/internal/router"
 )
 
 // funnelLayout overloads a narrow slit between two cells, the standard
@@ -110,7 +112,29 @@ func TestEngineRouteAll(t *testing.T) {
 	}
 }
 
-func TestEngineMatchesLegacyRouter(t *testing.T) {
+// sameRoutes asserts byte-identical routes, net by net.
+func sameRoutes(t *testing.T, got, want *Result) {
+	t.Helper()
+	if got.TotalLength != want.TotalLength {
+		t.Fatalf("length %d, want %d", got.TotalLength, want.TotalLength)
+	}
+	for i := range want.Nets {
+		a, b := got.Nets[i].SortedSegments(), want.Nets[i].SortedSegments()
+		if len(a) != len(b) {
+			t.Fatalf("net %q diverged", want.Nets[i].Net)
+		}
+		for k := range a {
+			if a[k] != b[k] {
+				t.Fatalf("net %q diverged at segment %d", want.Nets[i].Net, k)
+			}
+		}
+	}
+}
+
+// TestEngineMatchesRouter pins the Engine's option threading: RouteAll with
+// the corner rule routes exactly as the underlying router configured by
+// hand over an independently built index.
+func TestEngineMatchesRouter(t *testing.T) {
 	l := demoLayout()
 	e, err := NewEngine(l, WithCornerRule())
 	if err != nil {
@@ -120,28 +144,15 @@ func TestEngineMatchesLegacyRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRouter(l, WithCornerRule())
+	ix, err := plane.FromLayout(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rres, err := r.RouteAll()
+	rres, err := router.New(ix, router.Options{Cost: router.CornerCost{Ix: ix}}).RouteLayout(l, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eres.TotalLength != rres.TotalLength {
-		t.Fatalf("engine length %d, legacy router %d", eres.TotalLength, rres.TotalLength)
-	}
-	for i := range eres.Nets {
-		a, b := eres.Nets[i].SortedSegments(), rres.Nets[i].SortedSegments()
-		if len(a) != len(b) {
-			t.Fatalf("net %q diverged", eres.Nets[i].Net)
-		}
-		for k := range a {
-			if a[k] != b[k] {
-				t.Fatalf("net %q diverged at segment %d", eres.Nets[i].Net, k)
-			}
-		}
-	}
+	sameRoutes(t, eres, rres)
 }
 
 func TestEngineRouteNegotiatedWithProgress(t *testing.T) {
@@ -179,7 +190,11 @@ func TestEngineRouteNegotiatedWithProgress(t *testing.T) {
 	checkEngineConsistency(t, e)
 }
 
-func TestEngineNegotiatedMatchesLegacy(t *testing.T) {
+// TestEngineNegotiatedMatchesPrepared pins the Engine's congestion
+// defaults and option threading: RouteNegotiated equals NegotiatePrepared
+// with every congest.Config field set by hand over an independently built
+// index and passage set.
+func TestEngineNegotiatedMatchesPrepared(t *testing.T) {
 	l := funnelLayout(10)
 	e, err := NewEngine(l, WithPitch(2), WithPenaltyWeight(150), WithWorkers(1), WithHistory(1, 0))
 	if err != nil {
@@ -189,18 +204,24 @@ func TestEngineNegotiatedMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lres, err := RouteNegotiated(l, CongestionConfig{
+	ix, err := plane.FromLayout(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	passages, err := congest.Extract(ix, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pres, err := congest.NegotiatePrepared(context.Background(), l, ix, passages, congest.Config{
 		Pitch: 2, Weight: 150, MaxPasses: congest.DefaultMaxPasses, Workers: 1, HistoryGain: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(eres.Passes) != len(lres.Passes) {
-		t.Fatalf("engine took %d passes, legacy %d", len(eres.Passes), len(lres.Passes))
+	if len(eres.Passes) != len(pres.Passes) {
+		t.Fatalf("engine took %d passes, NegotiatePrepared %d", len(eres.Passes), len(pres.Passes))
 	}
-	if eres.Final().TotalLength != lres.Final().TotalLength {
-		t.Fatalf("engine length %d, legacy %d", eres.Final().TotalLength, lres.Final().TotalLength)
-	}
+	sameRoutes(t, eres.Final(), pres.Final())
 }
 
 // TestEngineNegotiatedHonorsBaseOptions pins the unified-options contract:
@@ -217,7 +238,8 @@ func TestEngineNegotiatedHonorsBaseOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	en, err := NewEngine(l, WithCornerRule())
+	// One pass, so the final state is the penalty-free first pass.
+	en, err := NewEngine(l, WithCornerRule(), WithMaxPasses(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,18 +247,7 @@ func TestEngineNegotiatedHonorsBaseOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := neg.Results[0]
-	for i := range all.Nets {
-		a, b := all.Nets[i].SortedSegments(), first.Nets[i].SortedSegments()
-		if len(a) != len(b) {
-			t.Fatalf("net %q: negotiation pass 1 ignored the base options", all.Nets[i].Net)
-		}
-		for k := range a {
-			if a[k] != b[k] {
-				t.Fatalf("net %q: negotiation pass 1 ignored the base options", all.Nets[i].Net)
-			}
-		}
-	}
+	sameRoutes(t, neg.Final(), all)
 	// The trace hooks must fire through the congestion flow too.
 	var expanded int
 	et, err := NewEngine(funnelLayout(6), WithPitch(2), WithPenaltyWeight(150), WithWorkers(1),
@@ -356,6 +367,56 @@ func TestEngineCancelMidNegotiation(t *testing.T) {
 	// The cancelled session keeps a consistent partial state that a
 	// fresh negotiation can pick up from scratch.
 	checkEngineConsistency(t, e)
+}
+
+// TestEngineCancelInstallsBestPass pins the interrupted-run install: a
+// negotiation cancelled after pass k installs the best recorded pass
+// (NegotiateResult.BestPass), not the last one, and the installed map is
+// exactly the one the installed routes imply. The pitch-16 macro grid's
+// overflow is not monotone across passes, so some cut points leave the best
+// pass strictly before the last.
+func TestEngineCancelInstallsBestPass(t *testing.T) {
+	l, err := GridOfMacros(4, 4, 60, 40, 12, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxPasses = 8
+	bestBeforeLast := 0
+	for k := 1; k < maxPasses; k++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		e, err := NewEngine(l, WithPitch(16), WithPenaltyWeight(100), WithMaxPasses(maxPasses),
+			WithHistory(1, 0), WithWorkers(1),
+			WithProgress(func(p Progress) {
+				if p.Pass == k {
+					cancel()
+				}
+			}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.RouteNegotiated(ctx)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cut %d: err = %v, want context.Canceled", k, err)
+		}
+		if len(res.Passes) != k {
+			t.Fatalf("cut %d: recorded %d passes", k, len(res.Passes))
+		}
+		b := res.BestPass()
+		if b < len(res.Passes)-1 {
+			bestBeforeLast++
+		}
+		if got, want := e.Overflow(), res.Passes[b].Overflow; got != want {
+			t.Fatalf("cut %d: installed overflow %d, best pass %d has %d", k, got, b, want)
+		}
+		if got, want := e.Result().TotalLength, res.Passes[b].TotalLength; got != want {
+			t.Fatalf("cut %d: installed length %d, best pass %d has %d", k, got, b, want)
+		}
+		checkEngineConsistency(t, e)
+	}
+	if bestBeforeLast == 0 {
+		t.Fatal("no cut point left the best pass before the last; the best-pass install went untested")
+	}
 }
 
 func TestEngineCancelNoGoroutineLeak(t *testing.T) {

@@ -2,6 +2,7 @@ package genroute
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -40,11 +41,11 @@ func demoLayout() *Layout {
 
 func TestRouteAllDemo(t *testing.T) {
 	l := demoLayout()
-	r, err := NewRouter(l)
+	e, err := NewEngine(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.RouteAll()
+	res, err := e.RouteAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestRouteAllDemo(t *testing.T) {
 		t.Fatalf("failed nets: %v", res.Failed)
 	}
 	for i := range res.Nets {
-		if err := r.Validate(&res.Nets[i]); err != nil {
+		if err := e.Validate(&res.Nets[i]); err != nil {
 			t.Error(err)
 		}
 	}
@@ -67,37 +68,37 @@ func TestRouteAllDemo(t *testing.T) {
 	}
 }
 
-func TestNewRouterRejectsInvalid(t *testing.T) {
+func TestNewEngineRejectsInvalid(t *testing.T) {
 	l := demoLayout()
 	l.Cells[1].Box = R(100, 30, 260, 120) // overlaps alu
-	if _, err := NewRouter(l); err == nil {
+	if _, err := NewEngine(l); err == nil {
 		t.Fatal("invalid layout must be rejected")
 	}
 }
 
 func TestRouteNetByName(t *testing.T) {
-	r, err := NewRouter(demoLayout())
+	e, err := NewEngine(demoLayout())
 	if err != nil {
 		t.Fatal(err)
 	}
-	nr, err := r.RouteNet("clk")
+	nr, err := e.RouteNet(context.Background(), "clk")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !nr.Found {
 		t.Fatal("clk should route")
 	}
-	if _, err := r.RouteNet("nope"); err == nil {
+	if _, err := e.RouteNet(context.Background(), "nope"); err == nil {
 		t.Fatal("unknown net must error")
 	}
 }
 
 func TestRoutePointsFacade(t *testing.T) {
-	r, err := NewRouter(demoLayout())
+	e, err := NewEngine(demoLayout())
 	if err != nil {
 		t.Fatal(err)
 	}
-	route, err := r.RoutePoints(Pt(0, 0), Pt(300, 300))
+	route, err := e.RoutePoints(context.Background(), Pt(0, 0), Pt(300, 300))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +116,11 @@ func TestOptionsApply(t *testing.T) {
 		{WithMaxExpansions(100000)},
 		{WithCornerRule(), WithAllDirs(), WithWorkers(1)},
 	} {
-		r, err := NewRouter(l, opts...)
+		e, err := NewEngine(l, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.RouteAll()
+		res, err := e.RouteAll(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,11 +137,11 @@ func TestMultiPinTerminalConnectivity(t *testing.T) {
 	// The in0 net may connect to either of the alu terminal's two pins;
 	// connectivity must hold regardless of which pin was used.
 	l := demoLayout()
-	r, err := NewRouter(l)
+	e, err := NewEngine(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.RouteAll()
+	res, err := e.RouteAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +152,11 @@ func TestMultiPinTerminalConnectivity(t *testing.T) {
 
 func TestCheckConnectivityCatchesGaps(t *testing.T) {
 	l := demoLayout()
-	r, err := NewRouter(l)
+	e, err := NewEngine(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.RouteAll()
+	res, err := e.RouteAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +176,11 @@ func TestGeneratorsThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRouter(l, WithWorkers(2))
+	e, err := NewEngine(l, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.RouteAll()
+	res, err := e.RouteAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +192,11 @@ func TestGeneratorsThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rg, err := NewRouter(g)
+	rg, err := NewEngine(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gres, err := rg.RouteAll()
+	gres, err := rg.RouteAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +208,11 @@ func TestGeneratorsThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := NewRouter(p)
+	rp, err := NewEngine(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres, err := rp.RouteAll()
+	pres, err := rp.RouteAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,19 +222,29 @@ func TestGeneratorsThroughFacade(t *testing.T) {
 }
 
 func TestCongestionFlowFacade(t *testing.T) {
-	l := demoLayout()
-	res, err := RouteWithCongestion(l, 4, 100, 1)
+	// The paper's two-pass flow: one penalized reroute pass, no history.
+	e, err := NewEngine(demoLayout(), WithPitch(4), WithPenaltyWeight(100), WithWorkers(1),
+		WithMaxPasses(2), WithHistory(0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.First == nil || res.Before == nil {
-		t.Fatal("first pass must always run")
+	res, err := e.RouteNegotiated(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Passes) == 0 || len(res.Passes) > 2 || res.Final() == nil || res.FinalMap() == nil {
+		t.Fatalf("two-pass flow recorded %d passes", len(res.Passes))
 	}
 }
 
 func TestRouteNegotiatedFacade(t *testing.T) {
 	l := demoLayout()
-	res, err := RouteNegotiated(l, CongestionConfig{Pitch: 4, Weight: 100, MaxPasses: 4, Workers: 2, HistoryGain: 1})
+	e, err := NewEngine(l, WithPitch(4), WithPenaltyWeight(100), WithMaxPasses(4), WithWorkers(2),
+		WithHistory(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.RouteNegotiated(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,15 +258,21 @@ func TestRouteNegotiatedFacade(t *testing.T) {
 
 func TestAssignTracksFacade(t *testing.T) {
 	l := demoLayout()
-	r, err := NewRouter(l)
+	e, err := NewEngine(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.RouteAll()
+	res, err := e.RouteAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := AssignTracks(res, 0)
+	if len(res.Failed) != 0 {
+		t.Fatalf("failed nets: %v", res.Failed)
+	}
+	tr, err := e.AssignTracks(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tr.Wires == 0 {
 		t.Fatal("expected wires to assign")
 	}
@@ -291,11 +308,11 @@ func TestPolygonCellsThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRouter(l, WithWorkers(2))
+	e, err := NewEngine(l, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.RouteAll()
+	res, err := e.RouteAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +323,7 @@ func TestPolygonCellsThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range res.Nets {
-		if err := r.Validate(&res.Nets[i]); err != nil {
+		if err := e.Validate(&res.Nets[i]); err != nil {
 			t.Error(err)
 		}
 	}
@@ -333,11 +350,11 @@ func TestHandBuiltPolygonCell(t *testing.T) {
 			},
 		}},
 	}
-	r, err := NewRouter(l)
+	e, err := NewEngine(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.RouteAll()
+	res, err := e.RouteAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +386,11 @@ func TestAdjustPlacementFacade(t *testing.T) {
 			},
 		})
 	}
-	res, err := AdjustPlacement(l, 2, 10, 1)
+	e, err := NewEngine(l, WithPitch(2), WithAdjustIters(10), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.AdjustPlacement(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestNegotiateCtxPreCancelled(t *testing.T) {
 	l := funnelLayout(6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := NegotiateCtx(ctx, l, Config{Pitch: 2, Weight: 150, MaxPasses: 4, Workers: 1})
+	res, err := negotiate(ctx, l, Config{Pitch: 2, Weight: 150, MaxPasses: 4, Workers: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -48,24 +48,30 @@ func TestNegotiateCtxCancelAfterFirstPass(t *testing.T) {
 			cancel() // stop before (or inside) the first reroute pass
 		}
 	}
-	res, err := NegotiateCtx(ctx, l, cfg)
+	res, err := negotiate(ctx, l, cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if len(res.Passes) < 1 {
 		t.Fatalf("want at least the first pass, got %d", len(res.Passes))
 	}
-	// Alignment and consistency of everything that was recorded.
-	if len(res.Results) != len(res.Passes) || len(res.Maps) != len(res.Passes) {
-		t.Fatalf("misaligned result: %d passes, %d results, %d maps",
-			len(res.Passes), len(res.Results), len(res.Maps))
+	// The kept routing states agree with their maps and pass summaries.
+	checkMapMatchesRoutes(t, res.FinalMap(), res.Final())
+	if got, want := res.FinalMap().TotalOverflow(), res.Passes[len(res.Passes)-1].Overflow; got != want {
+		t.Fatalf("final map overflow %d, last pass says %d", got, want)
 	}
-	for i := range res.Maps {
-		checkMapMatchesRoutes(t, res.Maps[i], res.Results[i])
+	b := res.BestPass()
+	best := BuildMap(res.FinalMap().Passages, netSegs(res.Best()))
+	if best.TotalOverflow() != res.Passes[b].Overflow || res.Best().TotalLength != res.Passes[b].TotalLength {
+		t.Fatalf("best routes (overflow %d, length %d) disagree with pass %d %+v",
+			best.TotalOverflow(), res.Best().TotalLength, b, res.Passes[b])
+	}
+	if b == len(res.Passes)-1 && res.Best() != res.Final() {
+		t.Fatal("best pass is the last, but Best and Final differ")
 	}
 	// The uncancelled run must agree with the recorded prefix on pass 1
 	// (the cancel fired after it was recorded).
-	full, err := Negotiate(l, Config{Pitch: 2, Weight: 150, MaxPasses: 8, HistoryGain: 1, Workers: 1})
+	full, err := negotiate(context.Background(), l, Config{Pitch: 2, Weight: 150, MaxPasses: 8, HistoryGain: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +90,7 @@ func TestNegotiateOnPassObserver(t *testing.T) {
 			t.Fatalf("pass %d: Routed = %d, want %d", n, p.Routed, len(l.Nets))
 		}
 	}
-	res, err := Negotiate(l, cfg)
+	res, err := negotiate(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -202,7 +202,7 @@ func NegotiateResume(ctx context.Context, l *layout.Layout, ix *plane.Index, pas
 		}
 	}
 	res, err := ng.drain(ctx, maxPasses)
-	if res != nil && len(res.Results) == 0 {
+	if res != nil && len(res.Passes) == 0 {
 		// The checkpointed state was already final (converged, stalled or
 		// out of budget at the boundary): record the carried state as the
 		// single pass so Final()/FinalMap() stay well-defined.

@@ -13,13 +13,13 @@
 // extract.go), with ExtractEdit splicing a passage list incrementally
 // after an obstacle edit. BuildMap counts how many nets
 // run through each passage; AddNet/RemoveNet splice single nets in and out
-// incrementally. Negotiate iterates the paper's reroute loop to
+// incrementally. NegotiatePrepared iterates the paper's reroute loop to
 // convergence, PathFinder-style: after a parallel first pass, each pass
 // sequentially rips one overflowed net at a time out of the live map and
 // reroutes it against a penalty that combines the live present overflow
 // with an accumulating history of past overflow, so successive nets
-// negotiate instead of dodging congestion in lockstep. TwoPass is the
-// paper's original two-pass flow, now a thin wrapper over the engine.
+// negotiate instead of dodging congestion in lockstep. The paper's original
+// two-pass flow is its MaxPasses-2, zero-history special case.
 package congest
 
 import (
@@ -159,8 +159,9 @@ func BuildMap(passages []Passage, nets [][]geom.Seg) *Map {
 	return buildMapWithIndex(passages, newSectionIndex(passages), nets)
 }
 
-// buildMapWithIndex is BuildMap over a prebuilt section index; Negotiate
-// reuses one index across passes since the passage set never changes.
+// buildMapWithIndex is BuildMap over a prebuilt section index;
+// NegotiatePrepared reuses one index across passes since the passage set
+// never changes.
 func buildMapWithIndex(passages []Passage, index *sectionIndex, nets [][]geom.Seg) *Map {
 	m := &Map{
 		Passages:    passages,
@@ -237,9 +238,9 @@ func (m *Map) RemoveNet(ni int, segs []geom.Seg) {
 }
 
 // Clone returns a deep copy of the mutable state (usage and net lists);
-// passages and the section index are immutable and shared. Negotiate
-// records a clone after every pass so the reported per-pass maps stay
-// frozen while the live map keeps mutating.
+// passages and the section index are immutable and shared. The Engine
+// installs a clone, so the session's map and the one a caller holds stay
+// independent.
 func (m *Map) Clone() *Map {
 	c := &Map{
 		Passages:    m.Passages,
@@ -377,8 +378,8 @@ func (m *Map) HistoryPenalty(weight geom.Coord, gain int, history []int) router.
 // ripped out of the map while it reroutes, so "usage" is everyone else,
 // and the question the cost answers is "would my crossing overflow it".
 // Zero hWeight falls back to the coupled classic step (*weight per unit
-// of history). The present weight is read through a pointer so Negotiate
-// can escalate it between passes (the present-cost schedule, see
+// of history). The present weight is read through a pointer so the
+// negotiator can escalate it between passes (the present-cost schedule, see
 // Config.WeightStep) without rebuilding the closure or the router.
 func (m *Map) livePenalty(weight *geom.Coord, hWeight geom.Coord, gain int, history []int) router.PenaltyFn {
 	m.ensureScratch()
@@ -404,7 +405,8 @@ func (m *Map) livePenalty(weight *geom.Coord, hWeight geom.Coord, gain int, hist
 	}
 }
 
-// DefaultMaxPasses bounds Negotiate when Config.MaxPasses is zero.
+// DefaultMaxPasses bounds NegotiatePrepared and RepairCtx when
+// Config.MaxPasses is zero.
 const DefaultMaxPasses = 8
 
 // Config parameterizes the negotiated-congestion engine.
@@ -496,12 +498,10 @@ type Pass struct {
 	Elapsed time.Duration
 }
 
-// NegotiateResult reports an N-pass negotiated-congestion run.
+// NegotiateResult reports an N-pass negotiated-congestion run. Of the
+// per-pass routing states it keeps only two: the last pass's (Final) and
+// the best pass's (Best).
 type NegotiateResult struct {
-	// Results holds the whole-layout routing state after each pass.
-	Results []*router.LayoutResult
-	// Maps holds the congestion map after each pass.
-	Maps []*Map
 	// Passes summarizes each pass, in order.
 	Passes []Pass
 	// History is the final per-passage overflow history (the number of
@@ -516,15 +516,23 @@ type NegotiateResult struct {
 	// router.PanicError): a net whose reroute panicked keeps its previous
 	// route and the run continues. Empty in healthy runs.
 	Panics []*router.PanicError
+
+	// final and best are the routing states after the last recorded pass
+	// and after BestPass; finalMap is the run's live map, which matches
+	// final. All three are nil until a pass is recorded.
+	final, best *router.LayoutResult
+	finalMap    *Map
 }
 
 // Final returns the routing state after the last pass.
-func (r *NegotiateResult) Final() *router.LayoutResult {
-	return r.Results[len(r.Results)-1]
-}
+func (r *NegotiateResult) Final() *router.LayoutResult { return r.final }
 
 // FinalMap returns the congestion map after the last pass.
-func (r *NegotiateResult) FinalMap() *Map { return r.Maps[len(r.Maps)-1] }
+func (r *NegotiateResult) FinalMap() *Map { return r.finalMap }
+
+// Best returns the routing state after pass BestPass. Its congestion map is
+// BuildMap over its routes (FinalMap when BestPass is the last pass).
+func (r *NegotiateResult) Best() *router.LayoutResult { return r.best }
 
 // BestPass returns the index of the best recorded pass: minimum overflow,
 // ties broken by most nets routed, then by recency. A deadline-bounded run
@@ -544,11 +552,11 @@ func (r *NegotiateResult) BestPass() int {
 	return best
 }
 
-// negotiator is the shared engine behind Negotiate and RepairCtx: a live
-// map, the routing state after the latest pass, one penalized router whose
-// cost closure reads the map/history/present-weight in place, and the
-// recorded result. It must be used through a pointer (the penalty closure
-// captures &presWeight).
+// negotiator is the shared engine behind NegotiatePrepared, RepairCtx and
+// NegotiateResume: a live map, the routing state after the latest pass, one
+// penalized router whose cost closure reads the map/history/present-weight
+// in place, and the recorded result. It must be used through a pointer
+// (the penalty closure captures &presWeight).
 type negotiator struct {
 	l         *layout.Layout
 	cfg       Config
@@ -592,7 +600,10 @@ func newNegotiator(l *layout.Layout, ix *plane.Index, cfg Config, m *Map, histor
 	return ng
 }
 
-// record snapshots the current state as one pass and feeds the OnPass hook.
+// record summarizes the current state as one pass, keeps it as the final
+// (and, when it ranks first, the best) routing state, and feeds the OnPass
+// hook. A recorded routing state is never mutated afterwards: runPass builds
+// each pass on a copy.
 func (ng *negotiator) record(rerouted []string) {
 	p := Pass{
 		Overflow:    ng.m.TotalOverflow(),
@@ -603,9 +614,11 @@ func (ng *negotiator) record(rerouted []string) {
 		Stats:       ng.cur.Stats,
 		Elapsed:     ng.cur.Elapsed,
 	}
-	ng.res.Results = append(ng.res.Results, ng.cur)
-	ng.res.Maps = append(ng.res.Maps, ng.m.Clone())
 	ng.res.Passes = append(ng.res.Passes, p)
+	ng.res.final, ng.res.finalMap = ng.cur, ng.m
+	if ng.res.BestPass() == len(ng.res.Passes)-1 {
+		ng.res.best = ng.cur
+	}
 	if ng.cfg.OnPass != nil {
 		ng.cfg.OnPass(len(ng.res.Passes), p)
 	}
@@ -811,38 +824,22 @@ func (ng *negotiator) finish() *NegotiateResult {
 	return ng.res
 }
 
-// Negotiate iterates the paper's congestion loop to convergence,
-// PathFinder-style. Pass 1 routes every net penalty-free (in parallel
-// across cfg.Workers) and measures passage overflow. Each later pass is a
-// sequential rip-up over the nets through overflowed passages, in
-// deterministic (ascending net index) order, extended worklist-style to
-// nets the pass's own reroutes pushed into overflow (see
-// negotiator.runPass). The loop stops when overflow reaches zero
-// (Converged), when MaxPasses is exhausted, or when a pass changes nothing
-// and — with HistoryGain zero — no future pass could differ (Stalled). The
-// rip-up order is fixed, so results do not depend on the worker count.
-func Negotiate(l *layout.Layout, cfg Config) (*NegotiateResult, error) {
-	return NegotiateCtx(context.Background(), l, cfg)
-}
-
-// NegotiateCtx is Negotiate with cooperative cancellation: on cancel the
-// passes completed so far — including a consistent partial final pass — are
-// returned together with the context's error.
-func NegotiateCtx(ctx context.Context, l *layout.Layout, cfg Config) (*NegotiateResult, error) {
-	ix, err := plane.FromLayout(l)
-	if err != nil {
-		return nil, err
-	}
-	passages, err := Extract(ix, cfg.Pitch)
-	if err != nil {
-		return nil, err
-	}
-	return NegotiatePrepared(ctx, l, ix, passages, cfg)
-}
-
-// NegotiatePrepared is NegotiateCtx over a caller-prepared obstacle index
-// and passage set, so a session that already owns both (the public Engine)
-// does not rebuild them per run. passages must have been extracted from ix.
+// NegotiatePrepared iterates the paper's congestion loop to convergence,
+// PathFinder-style, over a caller-prepared obstacle index and passage set
+// (passages must have been extracted from ix). Pass 1 routes every net
+// penalty-free (in parallel across cfg.Workers) and measures passage
+// overflow. Each later pass is a sequential rip-up over the nets through
+// overflowed passages, in deterministic (ascending net index) order,
+// extended worklist-style to nets the pass's own reroutes pushed into
+// overflow (see negotiator.runPass). The loop stops when overflow reaches
+// zero (Converged), when MaxPasses is exhausted, or when a pass changes
+// nothing and — with HistoryGain zero — no future pass could differ
+// (Stalled). The rip-up order is fixed, so results do not depend on the
+// worker count. The paper's two-pass flow is MaxPasses 2 with HistoryGain 0.
+//
+// Cancellation is cooperative: on cancel the passes completed so far —
+// including a consistent partial final pass — are returned together with
+// the context's error.
 func NegotiatePrepared(ctx context.Context, l *layout.Layout, ix *plane.Index, passages []Passage, cfg Config) (*NegotiateResult, error) {
 	maxPasses := cfg.MaxPasses
 	if maxPasses <= 0 {
@@ -870,7 +867,7 @@ func NegotiatePrepared(ctx context.Context, l *layout.Layout, ix *plane.Index, p
 // whole layout from scratch it reroutes only the dirty nets of an
 // already-routed layout against the live map, then drains any overflow the
 // edit (or the reroutes) created, with the same sequential rip-up passes as
-// Negotiate.
+// NegotiatePrepared.
 //
 // l, ix and passages describe the edited layout (passages extracted from
 // ix). cur must hold one NetRoute per net of l, in layout order — empty
@@ -884,12 +881,12 @@ func NegotiatePrepared(ctx context.Context, l *layout.Layout, ix *plane.Index, p
 // The first recorded pass rips the dirty nets in ascending index order and
 // extends worklist-style to every net in an overflowed passage — the
 // "newly-overflowed victims" of the edit. Later passes run exactly like
-// Negotiate's. Unlike Negotiate there is no initial full-route pass, which
+// NegotiatePrepared's, but there is no initial full-route pass, which
 // is the point: untouched nets keep their routes byte-identical.
 //
-// m is mutated in place and cur is taken over; on return (including
-// cancellation) the final recorded state, m, and the returned History are
-// mutually consistent.
+// m is mutated in place (it becomes the result's FinalMap) and cur is taken
+// over; on return (including cancellation) the final recorded state, m, and
+// the returned History are mutually consistent.
 func RepairCtx(ctx context.Context, l *layout.Layout, ix *plane.Index, passages []Passage, m *Map, cur *router.LayoutResult, dirty []int, cfg Config, history []int) (*NegotiateResult, error) {
 	if len(cur.Nets) != len(l.Nets) {
 		return nil, fmt.Errorf("congest: repair state has %d nets, layout %d", len(cur.Nets), len(l.Nets))
@@ -946,41 +943,6 @@ func sameRoute(a, b *router.NetRoute) bool {
 		}
 	}
 	return true
-}
-
-// PassResult reports a two-pass congestion run.
-type PassResult struct {
-	// First and Second are the routing results of each pass; Second is nil
-	// when the first pass had no overflow.
-	First, Second *router.LayoutResult
-	// Before and After are the congestion maps of each pass (After is nil
-	// without a second pass).
-	Before, After *Map
-	// Rerouted lists the nets sent through the second pass.
-	Rerouted []string
-}
-
-// TwoPass implements the paper's two-pass flow over a layout: route all
-// nets, find congested passages, sequentially rip up and reroute the nets
-// through them with the congestion penalty, and report both states. It is
-// the MaxPasses-2, zero-history special case of Negotiate. pitch sets
-// passage capacity;
-// weight is the detour the router will accept to avoid one overflowed
-// crossing; workers as in Router.RouteLayout.
-func TwoPass(l *layout.Layout, pitch, weight geom.Coord, workers int) (*PassResult, error) {
-	n, err := Negotiate(l, Config{
-		Pitch: pitch, Weight: weight, MaxPasses: 2, Workers: workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &PassResult{First: n.Results[0], Before: n.Maps[0]}
-	if len(n.Results) > 1 {
-		res.Second = n.Results[1]
-		res.After = n.Maps[1]
-		res.Rerouted = n.Passes[1].Rerouted
-	}
-	return res, nil
 }
 
 // netSegs flattens a layout result into one segment list per net.

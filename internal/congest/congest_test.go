@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -214,66 +215,82 @@ func funnelLayout(nNets int) *layout.Layout {
 	return l
 }
 
+// negotiate prepares l's obstacle index and passages at cfg.Pitch and runs
+// NegotiatePrepared over them.
+func negotiate(ctx context.Context, l *layout.Layout, cfg Config) (*NegotiateResult, error) {
+	ix, err := plane.FromLayout(l)
+	if err != nil {
+		return nil, err
+	}
+	passages, err := Extract(ix, cfg.Pitch)
+	if err != nil {
+		return nil, err
+	}
+	return NegotiatePrepared(ctx, l, ix, passages, cfg)
+}
+
+// twoPass runs the paper's two-pass flow: MaxPasses 2, no history.
+func twoPass(t *testing.T, l *layout.Layout) *NegotiateResult {
+	t.Helper()
+	res, err := negotiate(context.Background(), l, Config{Pitch: 2, Weight: 150, MaxPasses: 2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestTwoPassReducesOverflow(t *testing.T) {
 	l := funnelLayout(6)
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Slit is 4 wide; pitch 2 → capacity 3. Six nets must overflow it.
-	res, err := TwoPass(l, 2, 150, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Before.TotalOverflow() == 0 {
+	res := twoPass(t, l)
+	first := res.Passes[0]
+	if first.Overflow == 0 {
 		t.Fatal("first pass should overflow the slit")
 	}
-	if res.Second == nil {
-		t.Fatal("second pass should have run")
+	if len(res.Passes) != 2 {
+		t.Fatalf("second pass should have run; got %d passes", len(res.Passes))
 	}
-	if len(res.Rerouted) == 0 {
+	second := res.Passes[1]
+	if len(second.Rerouted) == 0 {
 		t.Fatal("affected nets should be rerouted")
 	}
-	if got, want := res.After.TotalOverflow(), res.Before.TotalOverflow(); got >= want {
-		t.Fatalf("overflow did not improve: before=%d after=%d", want, got)
+	if second.Overflow >= first.Overflow {
+		t.Fatalf("overflow did not improve: before=%d after=%d", first.Overflow, second.Overflow)
 	}
-	if len(res.Second.Failed) != 0 {
-		t.Fatalf("second pass failures: %v", res.Second.Failed)
+	if len(res.Final().Failed) != 0 {
+		t.Fatalf("second pass failures: %v", res.Final().Failed)
 	}
 	// Rerouted nets are longer (they detour) — congestion relief costs
 	// wirelength, as the paper expects.
-	if res.Second.TotalLength <= res.First.TotalLength {
-		t.Fatalf("detours should add length: %d vs %d",
-			res.Second.TotalLength, res.First.TotalLength)
+	if second.TotalLength <= first.TotalLength {
+		t.Fatalf("detours should add length: %d vs %d", second.TotalLength, first.TotalLength)
 	}
 }
 
 func TestTwoPassNoCongestionShortCircuits(t *testing.T) {
-	l := funnelLayout(2) // 2 nets fit the capacity-3 slit
-	res, err := TwoPass(l, 2, 150, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Second != nil || res.After != nil || len(res.Rerouted) != 0 {
-		t.Fatalf("no second pass expected: %+v", res)
+	res := twoPass(t, funnelLayout(2)) // 2 nets fit the capacity-3 slit
+	if len(res.Passes) != 1 || res.Passes[0].Overflow != 0 {
+		t.Fatalf("no second pass expected: %+v", res.Passes)
 	}
 }
 
 func TestTwoPassSecondPassCarriesStats(t *testing.T) {
-	res, err := TwoPass(funnelLayout(6), 2, 150, 1)
-	if err != nil {
-		t.Fatal(err)
+	res := twoPass(t, funnelLayout(6))
+	if len(res.Passes) != 2 {
+		t.Fatalf("second pass should have run; got %d passes", len(res.Passes))
 	}
-	if res.Second == nil {
-		t.Fatal("second pass should have run")
-	}
+	first, second := res.Passes[0], res.Passes[1]
 	// The second pass splices rerouted nets into the first-pass result; its
 	// aggregates must cover the whole layout, not be dropped at zero.
-	if res.Second.Stats.Expanded < res.First.Stats.Expanded {
+	if second.Stats.Expanded < first.Stats.Expanded {
 		t.Errorf("second pass stats went backwards: %d < %d",
-			res.Second.Stats.Expanded, res.First.Stats.Expanded)
+			second.Stats.Expanded, first.Stats.Expanded)
 	}
-	if res.Second.Elapsed <= 0 {
-		t.Errorf("second pass elapsed = %v, want > 0", res.Second.Elapsed)
+	if second.Elapsed <= 0 {
+		t.Errorf("second pass elapsed = %v, want > 0", second.Elapsed)
 	}
 }
 
@@ -306,7 +323,7 @@ func tightFunnel() *layout.Layout {
 
 func TestNegotiateNoOverflowReturnsAfterFirstPass(t *testing.T) {
 	l := funnelLayout(2) // 2 nets fit the capacity-3 slit
-	res, err := Negotiate(l, Config{Pitch: 2, Weight: 150, MaxPasses: 5, Workers: 1, HistoryGain: 1})
+	res, err := negotiate(context.Background(), l, Config{Pitch: 2, Weight: 150, MaxPasses: 5, Workers: 1, HistoryGain: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +345,7 @@ func TestNegotiateNeedsThreePasses(t *testing.T) {
 	}
 	// Slit is 4 wide; pitch 5 makes it sub-pitch — capacity 0 — so three
 	// nets overflow it by 3 and every one must eventually detour.
-	res, err := Negotiate(l, Config{Pitch: 5, Weight: 30, MaxPasses: 6, Workers: 1, HistoryGain: 1})
+	res, err := negotiate(context.Background(), l, Config{Pitch: 5, Weight: 30, MaxPasses: 6, Workers: 1, HistoryGain: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +374,7 @@ func TestNegotiateStallsWithoutHistory(t *testing.T) {
 	// Weight 1 never justifies any detour and HistoryGain 0 means the
 	// penalties can never grow: the loop must detect the fixed point
 	// instead of burning MaxPasses identical reroutes.
-	res, err := Negotiate(funnelLayout(6), Config{Pitch: 2, Weight: 1, MaxPasses: 10, Workers: 1})
+	res, err := negotiate(context.Background(), funnelLayout(6), Config{Pitch: 2, Weight: 1, MaxPasses: 10, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,12 +404,12 @@ func TestNegotiateDeterministicAcrossWorkers(t *testing.T) {
 		l := build()
 		cfg := Config{Pitch: 2, Weight: 40, MaxPasses: 6, HistoryGain: 1}
 		cfg.Workers = 1
-		seq, err := Negotiate(l, cfg)
+		seq, err := negotiate(context.Background(), l, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Workers = 4
-		par, err := Negotiate(l, cfg)
+		par, err := negotiate(context.Background(), l, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -483,8 +483,8 @@ type Stats struct {
 	Records int
 	// Bytes is the journal file size — everything a recovery must replay.
 	Bytes int64
-	// LastErr is the most recent append/sync/compact failure ("" when
-	// healthy). A failed append also fails the commit that attempted it;
+	// LastErr is the most recent append/sync/compact failure, including
+	// one recorded with RecordErr ("" when healthy). A failed append also fails the commit that attempted it;
 	// a failed compaction only delays folding.
 	LastErr string
 }
@@ -645,6 +645,11 @@ func (j *Journal) ShouldCompact() bool {
 	}
 	return j.records >= recs || j.bytes >= bts
 }
+
+// RecordErr retains err, a failure outside the journal's own I/O that
+// delayed a fold (building the compaction base), as Stats().LastErr until
+// the next successful append or compaction.
+func (j *Journal) RecordErr(err error) { j.lastErr = err }
 
 // Compact folds the journal: the given base state (which must include
 // every appended edit) becomes the new header+rebase and the edit records

@@ -146,7 +146,7 @@ func (r *Router) routeNetGuarded(ctx context.Context, net *layout.Net) (nr NetRo
 
 // searchCtxPool recycles search contexts (node arena, OPEN heap, state
 // table) across connection queries. Every worker goroutine of
-// Router.RouteNets — and every pass of congest.Negotiate, which routes
+// Router.RouteNets — and every pass of congest.NegotiatePrepared, which routes
 // through the same pool — reuses a warmed context instead of reallocating
 // the search bookkeeping per query.
 var searchCtxPool = sync.Pool{
