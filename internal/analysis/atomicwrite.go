@@ -6,9 +6,9 @@ import (
 	"go/types"
 )
 
-// Atomicwrite keeps snapshot/checkpoint persistence torn-file-free: in the
-// packages that write snapshots and checkpoints (the driver scopes this to
-// the package root, internal/serve, and internal/snapshot), files must be
+// Atomicwrite keeps snapshot/checkpoint/journal persistence torn-file-free:
+// in the packages that write them (the driver scopes this to the package
+// root, internal/serve, internal/snapshot and internal/journal), files must be
 // produced through the atomicWrite helper (temp file in the target dir +
 // Sync + Close + Rename), never by writing the destination path directly. A
 // direct os.WriteFile/os.Create — or os.OpenFile opened for writing or

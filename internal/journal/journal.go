@@ -7,10 +7,10 @@
 //
 //	magic "GRJRNL" | version u16 | kind u8 | uvarint payload length | payload | crc32(payload)
 //
-// following the internal/snapshot codec discipline (little-endian
-// fixed-width header fields, varint-coded payloads, CRC-32 per record,
-// bounds-checked decode that never panics). Three record kinds exist, in a
-// fixed structural order:
+// The prefix, the CRC-32 trailer, the varint payload codec (bounds-checked,
+// never panics) and the typed errors are internal/wire's, shared with
+// internal/snapshot; the uvarint length is this format's. Three record
+// kinds exist, in a fixed structural order:
 //
 //   - header (first record): the identity of the layout the session was
 //     created over — its fingerprint and congestion pitch. Replay onto any
@@ -40,38 +40,31 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 
 	"repro/internal/faultinject"
 	"repro/internal/geom"
-	"repro/internal/snapshot"
+	"repro/internal/wire"
 )
 
 // Version is the journal codec version this build reads and writes.
 const Version = 1
 
 const (
-	magic      = "GRJRNL"
-	headerLen  = len(magic) + 2 + 1 // + uvarint length follows
-	maxPayload = 1 << 30            // decode allocation cap, as in snapshot
+	magic     = "GRJRNL"
+	headerLen = len(magic) + 2 + 1 // + uvarint length follows
 
 	kindHeader byte = 1
 	kindRebase byte = 2
 	kindEdit   byte = 3
 )
 
-// Typed errors are shared with internal/snapshot: the journal is part of
-// the same durability ladder and callers classify failures with the same
-// errors.Is checks (ErrFormat, ErrVersion, ErrChecksum, ErrCorrupt,
-// ErrLayout re-exported as genroute.ErrSnapshot*).
-var (
-	errFormat   = snapshot.ErrFormat
-	errVersion  = snapshot.ErrVersion
-	errChecksum = snapshot.ErrChecksum
-	errCorrupt  = snapshot.ErrCorrupt
-)
+// format is the prefix of every journal record. Its typed errors are
+// internal/wire's, the same values internal/snapshot re-exports: the
+// journal is part of the same durability ladder and callers classify its
+// failures with the same errors.Is checks (genroute.ErrSnapshot*).
+var format = wire.Format{Magic: magic, Version: Version}
 
 // Header identifies the session a journal belongs to: the fingerprint and
 // pitch of the layout the session was *created* over. Replay presents the
@@ -138,12 +131,10 @@ type Scanned struct {
 
 // encodeFrame appends one framed record to dst.
 func encodeFrame(dst []byte, kind byte, payload []byte) []byte {
-	dst = append(dst, magic...)
-	dst = binary.LittleEndian.AppendUint16(dst, Version)
-	dst = append(dst, kind)
+	dst = format.AppendPrefix(dst, kind)
 	dst = binary.AppendUvarint(dst, uint64(len(payload)))
 	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return wire.AppendSum(dst, payload)
 }
 
 // frameAt tries to decode one frame at data[off:], returning the kind, the
@@ -153,33 +144,20 @@ func encodeFrame(dst []byte, kind byte, payload []byte) []byte {
 func frameAt(data []byte, off int) (kind byte, payload []byte, n int, err error) {
 	b := data[off:]
 	if len(b) < headerLen+1 {
-		return 0, nil, 0, fmt.Errorf("%w: truncated record header", errFormat)
+		return 0, nil, 0, fmt.Errorf("%w: truncated record header", wire.ErrFormat)
 	}
-	if string(b[:len(magic)]) != magic {
-		return 0, nil, 0, fmt.Errorf("%w: bad record magic", errFormat)
+	if kind, err = format.CheckPrefix(b); err != nil {
+		return 0, nil, 0, err
 	}
-	ver := binary.LittleEndian.Uint16(b[len(magic):])
-	if ver != Version {
-		return 0, nil, 0, fmt.Errorf("%w: journal version %d, this build reads %d", errVersion, ver, Version)
-	}
-	kind = b[len(magic)+2]
 	plen, vn := binary.Uvarint(b[headerLen:])
 	if vn <= 0 {
-		return 0, nil, 0, fmt.Errorf("%w: bad payload length", errCorrupt)
-	}
-	if plen > maxPayload {
-		return 0, nil, 0, fmt.Errorf("%w: payload length %d exceeds cap", errCorrupt, plen)
+		return 0, nil, 0, fmt.Errorf("%w: bad payload length", wire.ErrCorrupt)
 	}
 	body := headerLen + vn
-	if uint64(len(b)-body) < plen+4 {
-		return 0, nil, 0, fmt.Errorf("%w: truncated payload (%d of %d bytes)", errCorrupt, len(b)-body, plen+4)
+	if payload, err = wire.CheckPayload(b[body:], plen); err != nil {
+		return 0, nil, 0, err
 	}
-	payload = b[body : body+int(plen)]
-	sum := binary.LittleEndian.Uint32(b[body+int(plen):])
-	if crc32.ChecksumIEEE(payload) != sum {
-		return 0, nil, 0, errChecksum
-	}
-	return kind, payload, body + int(plen) + 4, nil
+	return kind, payload, body + len(payload) + wire.SumLen, nil
 }
 
 // anyFrameAfter reports whether a fully decodable frame starts anywhere in
@@ -210,13 +188,13 @@ func Scan(data []byte) (*Scanned, error) {
 		kind, payload, n, err := frameAt(data, off)
 		if err != nil {
 			if anyFrameAfter(data, off) {
-				return nil, fmt.Errorf("%w: record %d damaged mid-file (%v)", errCorrupt, i, err)
+				return nil, fmt.Errorf("%w: record %d damaged mid-file (%v)", wire.ErrCorrupt, i, err)
 			}
 			if i < 2 {
 				// A journal torn inside its header or rebase has no usable
 				// base state to recover to — fail closed so the caller's
 				// ladder falls back to the snapshot rung.
-				return nil, fmt.Errorf("%w: journal torn before its base state (%v)", errCorrupt, err)
+				return nil, fmt.Errorf("%w: journal torn before its base state (%v)", wire.ErrCorrupt, err)
 			}
 			s.Torn = true
 			s.ValidLen = int64(off)
@@ -225,21 +203,21 @@ func Scan(data []byte) (*Scanned, error) {
 		switch {
 		case i == 0:
 			if kind != kindHeader {
-				return nil, fmt.Errorf("%w: first record kind %d, want header", errCorrupt, kind)
+				return nil, fmt.Errorf("%w: first record kind %d, want header", wire.ErrCorrupt, kind)
 			}
 			if err := decodeHeader(payload, &s.Header); err != nil {
 				return nil, err
 			}
 		case i == 1:
 			if kind != kindRebase {
-				return nil, fmt.Errorf("%w: second record kind %d, want rebase", errCorrupt, kind)
+				return nil, fmt.Errorf("%w: second record kind %d, want rebase", wire.ErrCorrupt, kind)
 			}
 			if err := decodeRebase(payload, &s.Rebase); err != nil {
 				return nil, err
 			}
 		default:
 			if kind != kindEdit {
-				return nil, fmt.Errorf("%w: record %d kind %d, want edit", errCorrupt, i, kind)
+				return nil, fmt.Errorf("%w: record %d kind %d, want edit", wire.ErrCorrupt, i, kind)
 			}
 			var rec Record
 			if err := decodeRecord(payload, &rec); err != nil {
@@ -247,14 +225,14 @@ func Scan(data []byte) (*Scanned, error) {
 			}
 			if rec.Seq != uint64(len(s.Records)+1) {
 				return nil, fmt.Errorf("%w: record %d out of sequence (seq %d, want %d)",
-					errCorrupt, i, rec.Seq, len(s.Records)+1)
+					wire.ErrCorrupt, i, rec.Seq, len(s.Records)+1)
 			}
 			s.Records = append(s.Records, rec)
 		}
 		off += n
 	}
 	if off == 0 {
-		return nil, fmt.Errorf("%w: empty journal", errCorrupt)
+		return nil, fmt.Errorf("%w: empty journal", wire.ErrCorrupt)
 	}
 	s.ValidLen = int64(off)
 	return s, nil
@@ -269,210 +247,85 @@ func ScanFile(path string) (*Scanned, error) {
 	return Scan(data)
 }
 
-// --- payload codecs (varint-coded, via the same enc/dec shapes as
-// internal/snapshot; the dec here is a thin sticky-error reader) ---
+// --- payload codecs (varint-coded, via internal/wire) ---
 
 func encodeHeader(h *Header) []byte {
-	var e enc
-	e.u64(h.LayoutHash)
-	e.vi(int64(h.Pitch))
-	return e.buf
+	var e wire.Enc
+	e.U64(h.LayoutHash)
+	e.Vi(int64(h.Pitch))
+	return e.Bytes()
 }
 
 func decodeHeader(b []byte, h *Header) error {
-	d := dec{b: b}
-	h.LayoutHash = d.u64()
-	h.Pitch = geom.Coord(d.vi())
-	return d.finish("header")
+	d := wire.NewDec(b)
+	h.LayoutHash = d.U64()
+	h.Pitch = geom.Coord(d.Vi())
+	return d.Finish("header")
 }
 
 func encodeRebase(r *Rebase) []byte {
-	var e enc
-	e.blob(r.LayoutJSON)
-	e.blob(r.Session)
-	return e.buf
+	var e wire.Enc
+	e.Blob(r.LayoutJSON)
+	e.Blob(r.Session)
+	return e.Bytes()
 }
 
 func decodeRebase(b []byte, r *Rebase) error {
-	d := dec{b: b}
-	r.LayoutJSON = d.blob()
-	r.Session = d.blob()
-	return d.finish("rebase")
+	d := wire.NewDec(b)
+	r.LayoutJSON = d.Blob()
+	r.Session = d.Blob()
+	return d.Finish("rebase")
 }
 
 func encodeRecord(rec *Record) []byte {
-	var e enc
-	e.uv(rec.Seq)
-	e.u64(rec.PostHash)
-	e.uv(uint64(len(rec.Ops)))
+	var e wire.Enc
+	e.Uv(rec.Seq)
+	e.U64(rec.PostHash)
+	e.Uv(uint64(len(rec.Ops)))
 	for i := range rec.Ops {
 		op := &rec.Ops[i]
-		e.buf = append(e.buf, byte(op.Kind))
+		e.U8(byte(op.Kind))
 		switch op.Kind {
 		case OpAddNet:
-			e.blob(op.NetJSON)
+			e.Blob(op.NetJSON)
 		case OpRemoveNet:
-			e.str(op.Name)
+			e.Str(op.Name)
 		case OpMoveCell:
-			e.str(op.Name)
-			e.vi(op.DX)
-			e.vi(op.DY)
+			e.Str(op.Name)
+			e.Vi(op.DX)
+			e.Vi(op.DY)
 		}
 	}
-	return e.buf
+	return e.Bytes()
 }
 
 func decodeRecord(b []byte, rec *Record) error {
-	d := dec{b: b}
-	rec.Seq = d.uv()
-	rec.PostHash = d.u64()
-	n := d.count(1)
+	d := wire.NewDec(b)
+	rec.Seq = d.Uv()
+	rec.PostHash = d.U64()
+	n := d.Count(1)
 	rec.Ops = make([]Op, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.OK(); i++ {
 		var op Op
-		op.Kind = OpKind(d.u8())
+		op.Kind = OpKind(d.U8())
 		switch op.Kind {
 		case OpAddNet:
-			op.NetJSON = d.blob()
+			op.NetJSON = d.Blob()
 		case OpRemoveNet:
-			op.Name = d.str()
+			op.Name = d.Str()
 		case OpMoveCell:
-			op.Name = d.str()
-			op.DX = d.vi()
-			op.DY = d.vi()
+			op.Name = d.Str()
+			op.DX = d.Vi()
+			op.DY = d.Vi()
 		default:
-			d.corrupt("unknown op kind")
+			d.Corrupt("unknown op kind")
 		}
 		rec.Ops = append(rec.Ops, op)
 	}
-	if len(rec.Ops) == 0 && d.err == nil {
-		d.corrupt("edit record stages no ops")
+	if len(rec.Ops) == 0 && d.OK() {
+		d.Corrupt("edit record stages no ops")
 	}
-	return d.finish("edit record")
-}
-
-type enc struct{ buf []byte }
-
-func (e *enc) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *enc) uv(v uint64)  { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *enc) vi(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *enc) str(s string) {
-	e.uv(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-func (e *enc) blob(b []byte) {
-	e.uv(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-type dec struct {
-	b   []byte
-	err error
-}
-
-func (d *dec) corrupt(why string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s", errCorrupt, why)
-	}
-}
-
-func (d *dec) u8() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 1 {
-		d.corrupt("truncated byte")
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 8 {
-		d.corrupt("truncated u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *dec) uv() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.corrupt("bad uvarint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *dec) vi() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.corrupt("bad varint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-// count reads an element count bounds-checked against the remaining
-// payload (each element needs at least min bytes).
-func (d *dec) count(min int) int {
-	v := d.uv()
-	if d.err != nil {
-		return 0
-	}
-	if min < 1 {
-		min = 1
-	}
-	if v > uint64(len(d.b)/min) {
-		d.corrupt("count exceeds remaining payload")
-		return 0
-	}
-	return int(v)
-}
-
-func (d *dec) str() string {
-	n := d.count(1)
-	if d.err != nil {
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-
-func (d *dec) blob() []byte {
-	n := d.count(1)
-	if d.err != nil {
-		return nil
-	}
-	b := append([]byte(nil), d.b[:n]...)
-	d.b = d.b[n:]
-	return b
-}
-
-func (d *dec) finish(what string) error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes in %s payload", errCorrupt, len(d.b), what)
-	}
-	return nil
+	return d.Finish("edit record")
 }
 
 // Stats is the journal's operator surface: how much unfolded edit history
@@ -524,10 +377,11 @@ const (
 // for appending. An existing file at path is replaced.
 func Create(path string, hdr Header, rb Rebase) (*Journal, error) {
 	j := &Journal{path: path, hdr: hdr}
-	if err := j.writeBase(rb); err != nil {
+	n, err := j.writeBase(rb)
+	if err != nil {
 		return nil, err
 	}
-	j.bytes = baseSize(hdr, rb)
+	j.bytes = n
 	return j, j.reopen()
 }
 
@@ -612,7 +466,7 @@ func (j *Journal) Append(rec *Record) error {
 		j.dirty = false
 	}
 	rec.Seq = uint64(j.records) + 1
-	frame := encodeFrame(nil, kindEdit, encodeRecord(rec))
+	frame := EncodeRecordFrame(rec)
 	j.dirty = true
 	if _, err := j.f.Write(frame); err != nil {
 		j.lastErr = err
@@ -661,7 +515,8 @@ func (j *Journal) Compact(rb Rebase) error {
 		j.lastErr = err
 		return err
 	}
-	if err := j.writeBase(rb); err != nil {
+	n, err := j.writeBase(rb)
+	if err != nil {
 		j.lastErr = err
 		return err
 	}
@@ -671,19 +526,19 @@ func (j *Journal) Compact(rb Rebase) error {
 		j.f = nil
 	}
 	j.records = 0
-	j.bytes = baseSize(j.hdr, rb)
+	j.bytes = n
 	j.dirty = false
 	j.lastErr = nil
 	return j.reopen()
 }
 
-// writeBase atomically replaces the journal file with header+rebase.
-func (j *Journal) writeBase(rb Rebase) error {
-	buf := encodeFrame(nil, kindHeader, encodeHeader(&j.hdr))
-	buf = encodeFrame(buf, kindRebase, encodeRebase(&rb))
+// writeBase atomically replaces the journal file with header+rebase and
+// returns the new file size.
+func (j *Journal) writeBase(rb Rebase) (int64, error) {
+	buf := EncodeBase(j.hdr, rb)
 	tmp, err := os.CreateTemp(filepath.Dir(j.path), filepath.Base(j.path)+".tmp-")
 	if err != nil {
-		return err
+		return 0, err
 	}
 	name := tmp.Name()
 	committed := false
@@ -694,27 +549,22 @@ func (j *Journal) writeBase(rb Rebase) error {
 		}
 	}()
 	if _, err := tmp.Write(buf); err != nil {
-		return err
+		return 0, err
 	}
 	if err := tmp.Sync(); err != nil {
-		return err
+		return 0, err
 	}
 	if err := tmp.Close(); err != nil {
-		return err
+		return 0, err
 	}
 	if err := faultinject.Fire(faultinject.JournalRename, j.path); err != nil {
-		return err
+		return 0, err
 	}
 	if err := os.Rename(name, j.path); err != nil {
-		return err
+		return 0, err
 	}
 	committed = true
-	return nil
-}
-
-// baseSize is the on-disk size of a header+rebase pair.
-func baseSize(hdr Header, rb Rebase) int64 {
-	return int64(len(encodeFrame(encodeFrame(nil, kindHeader, encodeHeader(&hdr)), kindRebase, encodeRebase(&rb))))
+	return int64(len(buf)), nil
 }
 
 // Close syncs and closes the journal file. The journal stays usable: a
@@ -739,7 +589,8 @@ func EncodeRecordFrame(rec *Record) []byte {
 	return encodeFrame(nil, kindEdit, encodeRecord(rec))
 }
 
-// EncodeBase frames a header+rebase pair as Create would write it.
+// EncodeBase frames a header+rebase pair exactly as Create and Compact
+// write it.
 func EncodeBase(hdr Header, rb Rebase) []byte {
 	return encodeFrame(encodeFrame(nil, kindHeader, encodeHeader(&hdr)), kindRebase, encodeRebase(&rb))
 }

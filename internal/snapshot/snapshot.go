@@ -7,6 +7,8 @@
 //	magic "GRSNAP" | version u16 | kind u8 | payload length u64 | payload | crc32(payload)
 //
 // (little-endian fixed-width header fields; varint-coded payload). The
+// prefix, the CRC-32 trailer and the payload codec are internal/wire's,
+// shared with internal/journal; the fixed u64 length is this format's. The
 // payload does not carry the obstacle index, the interval trees or the
 // memoized validate geometry: all of them are deterministic functions of
 // the layout, and rebuilding them from spans is orders of magnitude
@@ -23,7 +25,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"repro/internal/congest"
@@ -31,6 +32,7 @@ import (
 	"repro/internal/layout"
 	"repro/internal/router"
 	"repro/internal/search"
+	"repro/internal/wire"
 )
 
 // Version is the codec version this build reads and writes.
@@ -39,26 +41,24 @@ const Version = 1
 const (
 	magic       = "GRSNAP"
 	headerLen   = len(magic) + 2 + 1 + 8
-	maxPayload  = 1 << 30 // decode allocation cap; real payloads are far smaller
+	maxPayload  = wire.MaxPayload
 	kindSession = 1
 	kindCkpt    = 2
 )
 
+// format is the frame prefix of every snapshot stream.
+var format = wire.Format{Magic: magic, Version: Version}
+
 // Typed decode errors. Every failure wraps exactly one of these, so callers
-// can distinguish "wrong file" from "stale format" from "bit rot".
+// can distinguish "wrong file" from "stale format" from "bit rot". The
+// codec-level ones are internal/wire's, shared with the journal.
 var (
-	// ErrFormat marks a stream that is not a snapshot at all (bad magic or
-	// a truncated header).
-	ErrFormat = errors.New("snapshot: not a snapshot stream")
-	// ErrVersion marks a snapshot written by an incompatible codec version.
-	ErrVersion = errors.New("snapshot: unsupported version")
+	ErrFormat   = wire.ErrFormat
+	ErrVersion  = wire.ErrVersion
+	ErrChecksum = wire.ErrChecksum
+	ErrCorrupt  = wire.ErrCorrupt
 	// ErrKind marks a session snapshot read as a checkpoint or vice versa.
 	ErrKind = errors.New("snapshot: wrong snapshot kind")
-	// ErrChecksum marks a payload whose CRC does not match.
-	ErrChecksum = errors.New("snapshot: payload checksum mismatch")
-	// ErrCorrupt marks a payload that passes the checksum but does not
-	// decode (truncated, inconsistent counts, or illegal values).
-	ErrCorrupt = errors.New("snapshot: corrupt payload")
 	// ErrLayout marks a snapshot whose embedded layout hash does not match
 	// the layout it is being restored onto (layout drift).
 	ErrLayout = errors.New("snapshot: layout does not match")
@@ -98,28 +98,28 @@ type CheckpointFile struct {
 
 // EncodeSession writes a session snapshot frame.
 func EncodeSession(w io.Writer, s *Session) error {
-	e := &enc{}
-	e.u64(s.LayoutHash)
-	e.vi(int64(s.Pitch))
-	e.uv(uint64(len(s.Passages)))
+	var e wire.Enc
+	e.U64(s.LayoutHash)
+	e.Vi(int64(s.Pitch))
+	e.Uv(uint64(len(s.Passages)))
 	for i := range s.Passages {
 		p := &s.Passages[i]
-		e.vi(int64(p.Between[0]))
-		e.vi(int64(p.Between[1]))
-		e.rect(p.Rect)
-		e.boolean(p.Vertical)
-		e.vi(int64(p.Width))
-		e.vi(int64(p.Capacity))
+		e.Vi(int64(p.Between[0]))
+		e.Vi(int64(p.Between[1]))
+		e.Rect(p.Rect)
+		e.Bool(p.Vertical)
+		e.Vi(int64(p.Width))
+		e.Vi(int64(p.Capacity))
 	}
-	e.boolean(s.Routed)
+	e.Bool(s.Routed)
 	if s.Routed {
-		encodeNets(e, s.Nets)
-		e.uv(uint64(len(s.History)))
+		encodeNets(&e, s.Nets)
+		e.Uv(uint64(len(s.History)))
 		for _, h := range s.History {
-			e.vi(int64(h))
+			e.Vi(int64(h))
 		}
 	}
-	return writeFrame(w, kindSession, e.buf)
+	return writeFrame(w, kindSession, e.Bytes())
 }
 
 // DecodeSession reads a session snapshot frame. The returned NetRoutes have
@@ -129,39 +129,39 @@ func DecodeSession(r io.Reader) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &dec{b: payload}
-	s := &Session{LayoutHash: d.u64(), Pitch: geom.Coord(d.vi())}
-	n := d.count(9) // a passage is at least 9 payload bytes
+	d := wire.NewDec(payload)
+	s := &Session{LayoutHash: d.U64(), Pitch: geom.Coord(d.Vi())}
+	n := d.Count(9) // a passage is at least 9 payload bytes
 	s.Passages = make([]congest.Passage, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.OK(); i++ {
 		var p congest.Passage
-		p.Between[0] = int(d.vi())
-		p.Between[1] = int(d.vi())
-		p.Rect = d.rect()
-		p.Vertical = d.boolean()
-		p.Width = geom.Coord(d.vi())
-		p.Capacity = int(d.vi())
+		p.Between[0] = int(d.Vi())
+		p.Between[1] = int(d.Vi())
+		p.Rect = d.Rect()
+		p.Vertical = d.Bool()
+		p.Width = geom.Coord(d.Vi())
+		p.Capacity = int(d.Vi())
 		if p.Capacity < 0 || p.Width < 0 {
-			d.corrupt("negative passage width or capacity")
+			d.Corrupt("negative passage width or capacity")
 		}
 		s.Passages = append(s.Passages, p)
 	}
-	if s.Routed = d.boolean(); s.Routed {
-		s.Nets = decodeNets(d)
-		hn := d.count(1)
+	if s.Routed = d.Bool(); s.Routed {
+		s.Nets = decodeNets(&d)
+		hn := d.Count(1)
 		if hn != len(s.Passages) {
-			d.corrupt("history length does not match passages")
+			d.Corrupt("history length does not match passages")
 		}
 		s.History = make([]int, 0, hn)
-		for i := 0; i < hn && d.err == nil; i++ {
-			h := int(d.vi())
+		for i := 0; i < hn && d.OK(); i++ {
+			h := int(d.Vi())
 			if h < 0 {
-				d.corrupt("negative history")
+				d.Corrupt("negative history")
 			}
 			s.History = append(s.History, h)
 		}
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish("session"); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -169,35 +169,35 @@ func DecodeSession(r io.Reader) (*Session, error) {
 
 // EncodeCheckpoint writes a checkpoint frame.
 func EncodeCheckpoint(w io.Writer, c *CheckpointFile) error {
-	e := &enc{}
-	e.u64(c.LayoutHash)
-	e.vi(int64(c.Pitch))
+	var e wire.Enc
+	e.U64(c.LayoutHash)
+	e.Vi(int64(c.Pitch))
 	cp := &c.CP
-	e.uv(uint64(cp.PassesRecorded))
-	e.uv(uint64(cp.ReroutePass))
-	e.uv(uint64(len(cp.History)))
+	e.Uv(uint64(cp.PassesRecorded))
+	e.Uv(uint64(cp.ReroutePass))
+	e.Uv(uint64(len(cp.History)))
 	for _, h := range cp.History {
-		e.vi(int64(h))
+		e.Vi(int64(h))
 	}
-	encodeNets(e, cp.Nets)
-	e.boolean(cp.InPass)
+	encodeNets(&e, cp.Nets)
+	e.Bool(cp.InPass)
 	if cp.InPass {
-		e.boolean(cp.Changed)
-		e.uv(uint64(len(cp.Ripped)))
+		e.Bool(cp.Changed)
+		e.Uv(uint64(len(cp.Ripped)))
 		for _, r := range cp.Ripped {
-			e.boolean(r)
+			e.Bool(r)
 		}
-		e.uv(uint64(len(cp.Initial)))
+		e.Uv(uint64(len(cp.Initial)))
 		for _, ni := range cp.Initial {
-			e.uv(uint64(ni))
+			e.Uv(uint64(ni))
 		}
-		e.uv(uint64(cp.InitialPos))
-		e.uv(uint64(len(cp.Rerouted)))
+		e.Uv(uint64(cp.InitialPos))
+		e.Uv(uint64(len(cp.Rerouted)))
 		for _, name := range cp.Rerouted {
-			e.str(name)
+			e.Str(name)
 		}
 	}
-	return writeFrame(w, kindCkpt, e.buf)
+	return writeFrame(w, kindCkpt, e.Bytes())
 }
 
 // DecodeCheckpoint reads a checkpoint frame. The returned NetRoutes have
@@ -209,54 +209,54 @@ func DecodeCheckpoint(r io.Reader) (*CheckpointFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &dec{b: payload}
-	c := &CheckpointFile{LayoutHash: d.u64(), Pitch: geom.Coord(d.vi())}
+	d := wire.NewDec(payload)
+	c := &CheckpointFile{LayoutHash: d.U64(), Pitch: geom.Coord(d.Vi())}
 	cp := &c.CP
-	cp.PassesRecorded = int(d.uv())
-	cp.ReroutePass = int(d.uv())
-	hn := d.count(1)
+	cp.PassesRecorded = int(d.Uv())
+	cp.ReroutePass = int(d.Uv())
+	hn := d.Count(1)
 	cp.History = make([]int, 0, hn)
-	for i := 0; i < hn && d.err == nil; i++ {
-		h := int(d.vi())
+	for i := 0; i < hn && d.OK(); i++ {
+		h := int(d.Vi())
 		if h < 0 {
-			d.corrupt("negative history")
+			d.Corrupt("negative history")
 		}
 		cp.History = append(cp.History, h)
 	}
-	cp.Nets = decodeNets(d)
-	if cp.InPass = d.boolean(); cp.InPass {
-		cp.Changed = d.boolean()
-		rn := d.count(1)
+	cp.Nets = decodeNets(&d)
+	if cp.InPass = d.Bool(); cp.InPass {
+		cp.Changed = d.Bool()
+		rn := d.Count(1)
 		if rn != len(cp.Nets) {
-			d.corrupt("rip flags do not match nets")
+			d.Corrupt("rip flags do not match nets")
 		}
 		cp.Ripped = make([]bool, 0, rn)
-		for i := 0; i < rn && d.err == nil; i++ {
-			cp.Ripped = append(cp.Ripped, d.boolean())
+		for i := 0; i < rn && d.OK(); i++ {
+			cp.Ripped = append(cp.Ripped, d.Bool())
 		}
-		in := d.count(1)
+		in := d.Count(1)
 		cp.Initial = make([]int, 0, in)
-		for i := 0; i < in && d.err == nil; i++ {
-			ni := int(d.uv())
+		for i := 0; i < in && d.OK(); i++ {
+			ni := int(d.Uv())
 			if ni < 0 || ni >= len(cp.Nets) {
-				d.corrupt("rip index out of range")
+				d.Corrupt("rip index out of range")
 			}
 			cp.Initial = append(cp.Initial, ni)
 		}
-		cp.InitialPos = int(d.uv())
+		cp.InitialPos = int(d.Uv())
 		if cp.InitialPos < 0 || cp.InitialPos > len(cp.Initial) {
-			d.corrupt("rip position out of range")
+			d.Corrupt("rip position out of range")
 		}
-		sn := d.count(1)
+		sn := d.Count(1)
 		cp.Rerouted = make([]string, 0, sn)
-		for i := 0; i < sn && d.err == nil; i++ {
-			cp.Rerouted = append(cp.Rerouted, d.str())
+		for i := 0; i < sn && d.OK(); i++ {
+			cp.Rerouted = append(cp.Rerouted, d.Str())
 		}
 	}
 	if cp.PassesRecorded < 0 || cp.ReroutePass < 0 {
-		d.corrupt("negative pass counters")
+		d.Corrupt("negative pass counters")
 	}
-	if err := d.finish(); err != nil {
+	if err := d.Finish("checkpoint"); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -266,23 +266,23 @@ func DecodeCheckpoint(r io.Reader) (*CheckpointFile, error) {
 // fields go to disk: Found, FailedTerminal, Length, Stats and Paths.
 // Segments are derived from Paths at decode (RouteNet constructs them from
 // consecutive path points), and Net names come from the layout.
-func encodeNets(e *enc, nets []router.NetRoute) {
-	e.uv(uint64(len(nets)))
+func encodeNets(e *wire.Enc, nets []router.NetRoute) {
+	e.Uv(uint64(len(nets)))
 	for i := range nets {
 		nr := &nets[i]
-		e.boolean(nr.Found)
-		e.str(nr.FailedTerminal)
-		e.vi(int64(nr.Length))
-		e.uv(uint64(nr.Stats.Expanded))
-		e.uv(uint64(nr.Stats.Generated))
-		e.uv(uint64(nr.Stats.Reopened))
-		e.uv(uint64(nr.Stats.MaxOpen))
-		e.uv(uint64(len(nr.Paths)))
+		e.Bool(nr.Found)
+		e.Str(nr.FailedTerminal)
+		e.Vi(int64(nr.Length))
+		e.Uv(uint64(nr.Stats.Expanded))
+		e.Uv(uint64(nr.Stats.Generated))
+		e.Uv(uint64(nr.Stats.Reopened))
+		e.Uv(uint64(nr.Stats.MaxOpen))
+		e.Uv(uint64(len(nr.Paths)))
 		for _, path := range nr.Paths {
-			e.uv(uint64(len(path)))
+			e.Uv(uint64(len(path)))
 			for _, p := range path {
-				e.vi(int64(p.X))
-				e.vi(int64(p.Y))
+				e.Vi(int64(p.X))
+				e.Vi(int64(p.Y))
 			}
 		}
 	}
@@ -291,33 +291,33 @@ func encodeNets(e *enc, nets []router.NetRoute) {
 // decodeNets reads a per-net routing state, rebuilding Segments from Paths.
 // Consecutive path points must be axis-aligned — a checksum-valid but
 // hand-crafted diagonal would otherwise panic the geometry layer.
-func decodeNets(d *dec) []router.NetRoute {
-	n := d.count(2)
+func decodeNets(d *wire.Dec) []router.NetRoute {
+	n := d.Count(2)
 	nets := make([]router.NetRoute, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.OK(); i++ {
 		var nr router.NetRoute
-		nr.Found = d.boolean()
-		nr.FailedTerminal = d.str()
-		nr.Length = geom.Coord(d.vi())
+		nr.Found = d.Bool()
+		nr.FailedTerminal = d.Str()
+		nr.Length = geom.Coord(d.Vi())
 		nr.Stats = search.Stats{
-			Expanded:  int(d.uv()),
-			Generated: int(d.uv()),
-			Reopened:  int(d.uv()),
-			MaxOpen:   int(d.uv()),
+			Expanded:  int(d.Uv()),
+			Generated: int(d.Uv()),
+			Reopened:  int(d.Uv()),
+			MaxOpen:   int(d.Uv()),
 		}
-		np := d.count(1)
+		np := d.Count(1)
 		if np > 0 {
 			nr.Paths = make([][]geom.Point, 0, np)
 		}
-		for j := 0; j < np && d.err == nil; j++ {
-			pn := d.count(2) // a point is at least 2 payload bytes
+		for j := 0; j < np && d.OK(); j++ {
+			pn := d.Count(2) // a point is at least 2 payload bytes
 			path := make([]geom.Point, 0, pn)
-			for k := 0; k < pn && d.err == nil; k++ {
-				path = append(path, geom.Pt(d.vi(), d.vi()))
+			for k := 0; k < pn && d.OK(); k++ {
+				path = append(path, geom.Pt(d.Vi(), d.Vi()))
 			}
 			for k := 1; k < len(path); k++ {
 				if path[k-1].X != path[k].X && path[k-1].Y != path[k].Y {
-					d.corrupt("diagonal path step")
+					d.Corrupt("diagonal path step")
 					break
 				}
 				nr.Segments = append(nr.Segments, geom.S(path[k-1], path[k]))
@@ -402,10 +402,7 @@ func (h *fnv) rect(r geom.Rect) {
 
 // writeFrame frames a payload: header, payload, CRC.
 func writeFrame(w io.Writer, kind byte, payload []byte) error {
-	hdr := make([]byte, 0, headerLen)
-	hdr = append(hdr, magic...)
-	hdr = binary.LittleEndian.AppendUint16(hdr, Version)
-	hdr = append(hdr, kind)
+	hdr := format.AppendPrefix(make([]byte, 0, headerLen), kind)
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(payload)))
 	if _, err := w.Write(hdr); err != nil {
 		return err
@@ -413,9 +410,7 @@ func writeFrame(w io.Writer, kind byte, payload []byte) error {
 	if _, err := w.Write(payload); err != nil {
 		return err
 	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
-	_, err := w.Write(sum[:])
+	_, err := w.Write(wire.AppendSum(nil, payload))
 	return err
 }
 
@@ -427,175 +422,20 @@ func readFrame(r io.Reader, wantKind byte) ([]byte, error) {
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("%w: short header", ErrFormat)
 	}
-	if string(hdr[:len(magic)]) != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrFormat)
+	kind, err := format.CheckPrefix(hdr)
+	if err != nil {
+		return nil, err
 	}
-	ver := binary.LittleEndian.Uint16(hdr[len(magic):])
-	if ver != Version {
-		return nil, fmt.Errorf("%w: stream version %d, this build reads %d", ErrVersion, ver, Version)
-	}
-	kind := hdr[len(magic)+2]
 	if kind != wantKind {
 		return nil, fmt.Errorf("%w: stream kind %d, want %d", ErrKind, kind, wantKind)
 	}
 	n := binary.LittleEndian.Uint64(hdr[len(magic)+3:])
-	if n > maxPayload {
-		return nil, fmt.Errorf("%w: payload length %d exceeds cap", ErrCorrupt, n)
+	if err := wire.CheckLen(n); err != nil {
+		return nil, err
 	}
 	var buf bytes.Buffer
-	if _, err := io.Copy(&buf, io.LimitReader(r, int64(n))); err != nil {
+	if _, err := io.Copy(&buf, io.LimitReader(r, int64(n)+wire.SumLen)); err != nil {
 		return nil, fmt.Errorf("%w: reading payload: %v", ErrCorrupt, err)
 	}
-	if uint64(buf.Len()) != n {
-		return nil, fmt.Errorf("%w: truncated payload (%d of %d bytes)", ErrCorrupt, buf.Len(), n)
-	}
-	var sum [4]byte
-	if _, err := io.ReadFull(r, sum[:]); err != nil {
-		return nil, fmt.Errorf("%w: missing checksum", ErrCorrupt)
-	}
-	if crc32.ChecksumIEEE(buf.Bytes()) != binary.LittleEndian.Uint32(sum[:]) {
-		return nil, ErrChecksum
-	}
-	return buf.Bytes(), nil
-}
-
-// enc builds a varint-coded payload.
-type enc struct{ buf []byte }
-
-func (e *enc) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *enc) uv(v uint64)  { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *enc) vi(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *enc) boolean(v bool) {
-	if v {
-		e.buf = append(e.buf, 1)
-	} else {
-		e.buf = append(e.buf, 0)
-	}
-}
-func (e *enc) str(s string) {
-	e.uv(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-func (e *enc) rect(r geom.Rect) {
-	e.vi(int64(r.MinX))
-	e.vi(int64(r.MinY))
-	e.vi(int64(r.MaxX))
-	e.vi(int64(r.MaxY))
-}
-
-// dec decodes a payload with a sticky error: the first malformation poisons
-// every later read, and finish reports it (or trailing garbage). All reads
-// are bounds-checked; none panics.
-type dec struct {
-	b   []byte
-	err error
-}
-
-func (d *dec) corrupt(why string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s", ErrCorrupt, why)
-	}
-}
-
-func (d *dec) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 8 {
-		d.corrupt("truncated u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *dec) uv() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.corrupt("bad uvarint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *dec) vi() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.corrupt("bad varint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *dec) rect() geom.Rect {
-	return geom.Rect{
-		MinX: geom.Coord(d.vi()),
-		MinY: geom.Coord(d.vi()),
-		MaxX: geom.Coord(d.vi()),
-		MaxY: geom.Coord(d.vi()),
-	}
-}
-
-func (d *dec) boolean() bool {
-	if d.err != nil {
-		return false
-	}
-	if len(d.b) < 1 {
-		d.corrupt("truncated bool")
-		return false
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	if v > 1 {
-		d.corrupt("bad bool")
-		return false
-	}
-	return v == 1
-}
-
-// count reads an element count and proves it plausible: each element needs
-// at least min payload bytes, so a count the remaining bytes cannot hold is
-// corrupt — checked before any allocation sized by it.
-func (d *dec) count(min int) int {
-	v := d.uv()
-	if d.err != nil {
-		return 0
-	}
-	if min < 1 {
-		min = 1
-	}
-	if v > uint64(len(d.b)/min) {
-		d.corrupt("count exceeds remaining payload")
-		return 0
-	}
-	return int(v)
-}
-
-func (d *dec) str() string {
-	n := d.count(1)
-	if d.err != nil {
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-
-func (d *dec) finish() error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(d.b))
-	}
-	return nil
+	return wire.CheckPayload(buf.Bytes(), n)
 }
