@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sort"
 	"time"
 
 	"repro/internal/congest"
 	"repro/internal/faultinject"
-	"repro/internal/geom"
 	"repro/internal/layout"
 	"repro/internal/plane"
 	"repro/internal/router"
@@ -18,10 +16,11 @@ import (
 
 // Edit is a staged ECO (engineering change order) transaction over an
 // Engine. Stage any number of AddNet/RemoveNet/MoveCell operations, then
-// Commit: the engine applies the edits to its layout, marks the dirty nets,
-// overlays the obstacle index, and reroutes only the dirty set plus the
-// nets the edit pushed into overflow — the unedited, unaffected nets keep
-// their routes byte-identical (see Commit for the exact guarantee).
+// Commit: the engine applies the edits to its layout, rebuilds the obstacle
+// index after cell moves, marks the dirty nets, and reroutes only the dirty
+// set plus the nets the edit pushed into overflow — the unedited,
+// unaffected nets keep their routes byte-identical (see Commit for the
+// exact guarantee).
 //
 // Staging performs name-level validation immediately (unknown nets/cells,
 // duplicate additions); geometric validation of the edited layout happens
@@ -236,25 +235,17 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	nets2 = append(nets2, adds...)
 	l2.Nets = nets2
 
-	// One scan over the cells in index order resolves every move: cheaper
-	// than the per-name scan it replaces (O(cells) vs O(moves·cells)) and it
-	// fixes the translation and obstacle-splice order, keeping the commit
-	// deterministic. delete keeps first-cell-wins for a duplicate cell name,
-	// matching the old scan's break.
+	// One scan over the cells in index order resolves and applies every
+	// move. delete keeps first-cell-wins for a duplicate cell name.
 	movedCells := map[int]Point{} // cell index → delta
-	var movedOrder []int          // the same keys, ascending
 	for ci := range l2.Cells {
-		d, ok := moves[l2.Cells[ci].Name]
+		c := &l2.Cells[ci]
+		d, ok := moves[c.Name]
 		if !ok || d == Pt(0, 0) {
 			continue
 		}
-		delete(moves, l2.Cells[ci].Name)
+		delete(moves, c.Name)
 		movedCells[ci] = d
-		movedOrder = append(movedOrder, ci)
-	}
-	for _, ci := range movedOrder {
-		d := movedCells[ci]
-		c := &l2.Cells[ci]
 		c.Box = c.Box.Translate(d)
 		for vi := range c.Poly {
 			c.Poly[vi] = c.Poly[vi].Add(d)
@@ -274,8 +265,9 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 		}
 	}
 
-	// 2. Validate the edited layout as a whole (memoized, so this is cheap
-	// even at macro scale). Failure leaves the engine untouched.
+	// 2. Validate the edited layout as a whole. This is most of a commit's
+	// fixed cost (~16 of ~24 ms at 32×32, ~265–350 ms at 64×64). Failure
+	// leaves the engine untouched.
 	if err := l2.Validate(); err != nil {
 		return nil, fmt.Errorf("genroute: ECO edit produces an invalid layout: %w", err)
 	}
@@ -283,52 +275,18 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 		return nil, ferr
 	}
 
-	// 3. Overlay the obstacle index: splice the moved cells' obstacle ids
-	// out and their translated rectangles in. Unmoved geometry keeps its
-	// derived tables; passages are re-extracted only when geometry moved.
-	ix2, spans2, passages2 := e.ix, e.spans, e.passages
+	// 3. Rebuild the obstacle index and passages from the edited layout when
+	// cells moved, with the constructors NewEngine and LoadEngine use, so a
+	// live, loaded or journal-replayed session numbers its obstacles the same
+	// way. Pure net edits keep both.
+	ix2, passages2 := e.ix, e.passages
 	geometryChanged := len(movedCells) > 0
 	if geometryChanged {
-		// movedOrder is already the ascending cell-index order a fresh
-		// collect-and-sort over movedCells would produce.
-		order := movedOrder
-		var removedObs []int
-		var addedRects []geom.Rect
-		for _, ci := range order {
-			s := e.spans[ci]
-			for id := s[0]; id < s[1]; id++ {
-				removedObs = append(removedObs, id)
-			}
-			addedRects = append(addedRects, l2.Cells[ci].ObstacleRects()...)
-		}
-		// After an earlier MoveCell commit the spans are no longer in
-		// ascending id order across cells, so the ids collected above may
-		// be unsorted; remapSpans' renumbering binary-searches this list.
-		sort.Ints(removedObs)
 		var err error
-		var remap []int32
-		ix2, remap, err = e.ix.Edit(removedObs, addedRects)
-		if err != nil {
+		if ix2, err = plane.FromLayout(l2); err != nil {
 			return nil, err
 		}
-		spans2 = remapSpans(e.spans, removedObs, order, l2)
-		// Splice the passage tables incrementally, mirroring the index
-		// edit: Edit's returned remap carries the renumbering it applied,
-		// ExtractEdit gets the vacated and occupied rectangles, and only
-		// the corridors in that dirty neighborhood are re-extracted
-		// (result identical to a fresh congest.Extract — see the
-		// ExtractEdit equivalence guarantee).
-		removedRects := make([]geom.Rect, len(removedObs))
-		for k, id := range removedObs {
-			removedRects[k] = e.ix.Cell(id)
-		}
-		// Added obstacles occupy the trailing ids of the edited index.
-		addedIDs := make([]int, len(addedRects))
-		for k := range addedIDs {
-			addedIDs[k] = ix2.NumCells() - len(addedRects) + k
-		}
-		passages2, err = congest.ExtractEdit(ix2, e.cfg.congest.Pitch, e.passages, remap, removedRects, addedIDs)
-		if err != nil {
+		if passages2, err = congest.Extract(ix2, e.cfg.congest.Pitch); err != nil {
 			return nil, err
 		}
 	}
@@ -425,7 +383,6 @@ func (tx *Edit) Commit(ctx context.Context) (res *ECOResult, err error) {
 	tx.committed = true
 	e.l = l2
 	e.ix = ix2
-	e.spans = spans2
 	e.passages = passages2
 	e.lhash.Store(0) // layout changed; Save/checkpoints must re-fingerprint
 	if e.cfg.cornerRule {
@@ -469,39 +426,6 @@ func recoverCommitPanic(res **ECOResult, err *error) {
 		*res = nil
 		*err = fmt.Errorf("genroute: ECO commit panicked: %v\n%s", v, debug.Stack())
 	}
-}
-
-// remapSpans rebuilds the per-cell obstacle-id spans after Index.Edit:
-// surviving obstacles are renumbered compactly in their old order, then the
-// moved cells' new rectangles follow in ascending cell order (the order
-// their rects were appended).
-func remapSpans(spans [][2]int, removedObs, movedOrder []int, l2 *Layout) [][2]int {
-	movedSet := make(map[int]bool, len(movedOrder))
-	for _, ci := range movedOrder {
-		movedSet[ci] = true
-	}
-	// rank[i] = number of removed ids < i, for compact renumbering.
-	out := make([][2]int, len(spans))
-	numRemoved := func(x int) int {
-		// removedObs is ascending (built from ascending cells with
-		// ascending id ranges).
-		return sort.SearchInts(removedObs, x)
-	}
-	survivors := 0
-	for ci, s := range spans {
-		if movedSet[ci] {
-			continue
-		}
-		out[ci] = [2]int{s[0] - numRemoved(s[0]), s[1] - numRemoved(s[1])}
-		survivors += s[1] - s[0]
-	}
-	base := survivors
-	for _, ci := range movedOrder {
-		n := len(l2.Cells[ci].ObstacleRects())
-		out[ci] = [2]int{base, base + n}
-		base += n
-	}
-	return out
 }
 
 // netTouchesCells reports whether any pin of the net sits on one of the

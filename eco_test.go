@@ -4,10 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
-
-	"repro/internal/congest"
 )
 
 // routesByName collects each net's canonical segment list.
@@ -197,11 +196,8 @@ func TestECOMoveCell(t *testing.T) {
 	}
 }
 
-// TestECOSequentialMoves commits several MoveCell transactions in a row:
-// after the first commit the per-cell obstacle spans are no longer in
-// ascending id order, which is exactly the state a second multi-cell move
-// must renumber correctly (regression: unsorted removed-id list silently
-// corrupted unmoved cells' spans).
+// TestECOSequentialMoves commits several MoveCell transactions in a row,
+// single- and multi-cell, auditing the session after each one.
 func TestECOSequentialMoves(t *testing.T) {
 	l := gridScene(t, 3)
 	e, err := NewEngine(l, WithPitch(1), WithWorkers(1))
@@ -230,19 +226,17 @@ func TestECOSequentialMoves(t *testing.T) {
 		if _, err := tx.Commit(context.Background()); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		checkEngineConsistency(t, e) // includes the spans-vs-index audit
+		checkEngineConsistency(t, e) // includes the index and passage audit
 		if err := e.CheckConnectivity(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 	}
 }
 
-// TestECOCommitPassagesMatchFreshExtract pins the incremental passage
-// splice at the public API level: after every MoveCell commit — including
-// repeated moves, which leave the per-cell obstacle spans out of ascending
-// order, the state the splice's id remapping must handle — the session's
-// passage tables must be exactly what a fresh engine extracts from the
-// edited layout (congest.Extract from scratch): same corridors, same
+// TestECOCommitPassagesMatchFreshExtract pins the passage rebuild at the
+// public API level: after every MoveCell commit — including repeated moves
+// and multi-cell commits — the session's passage table must be exactly what
+// a fresh engine extracts from the edited layout: same corridors, same
 // Between ids, same widths and capacities, same canonical order.
 func TestECOCommitPassagesMatchFreshExtract(t *testing.T) {
 	l := gridScene(t, 3)
@@ -257,9 +251,9 @@ func TestECOCommitPassagesMatchFreshExtract(t *testing.T) {
 		cell   int
 		dx, dy int64
 	}{
-		{{4, 10, 6}},           // center macro: splices corridors on all four sides
+		{{4, 10, 6}},           // center macro: corridors change on all four sides
 		{{0, 5, 0}},            // corner macro: boundary strips change too
-		{{0, 0, 4}, {5, 3, 0}}, // multi-cell commit over shuffled spans
+		{{0, 0, 4}, {5, 3, 0}}, // multi-cell commit
 		{{7, -4, -2}, {2, 0, 3}},
 	}
 	for step, batch := range moves {
@@ -276,45 +270,10 @@ func TestECOCommitPassagesMatchFreshExtract(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		// Index.Edit renumbers obstacles (moved cells go to the end) where a
-		// fresh FromLayoutSpans numbers them in layout order, so translate
-		// each engine's Between ids back to layout cell indices through its
-		// span table before comparing. Corridor rects are unique here, so
-		// the canonical order lines both lists up element for element.
-		got := cellPassages(t, e)
-		want := cellPassages(t, fresh)
-		if len(got) != len(want) {
-			t.Fatalf("step %d: spliced %d passages, fresh extract %d",
-				step, len(got), len(want))
-		}
-		for pi := range got {
-			if got[pi] != want[pi] {
-				t.Fatalf("step %d: passage %d spliced %+v, fresh %+v",
-					step, pi, got[pi], want[pi])
-			}
+		if !slices.Equal(e.passages, fresh.passages) {
+			t.Fatalf("step %d: session passages differ from a fresh extract", step)
 		}
 	}
-}
-
-// cellPassages returns the engine's passage list with obstacle ids
-// rewritten as layout cell indices (Boundary kept as is).
-func cellPassages(t *testing.T, e *Engine) []congest.Passage {
-	t.Helper()
-	toCell := make([]int, e.ix.NumCells())
-	for ci, s := range e.spans {
-		for id := s[0]; id < s[1]; id++ {
-			toCell[id] = ci
-		}
-	}
-	out := append([]congest.Passage(nil), e.passages...)
-	for pi := range out {
-		for s := 0; s < 2; s++ {
-			if id := out[pi].Between[s]; id >= 0 {
-				out[pi].Between[s] = toCell[id]
-			}
-		}
-	}
-	return out
 }
 
 // TestECOStagingValidation covers the transaction's name-level checks and

@@ -64,12 +64,9 @@ type Engine struct {
 	// exclusively; everything else reads under RLock.
 	mu sync.RWMutex
 
-	l   *Layout      //grlint:guardedby mu
-	cfg config       //grlint:guardedby mu
-	ix  *plane.Index //grlint:guardedby mu
-	// spans maps each layout cell to the half-open obstacle-id range it
-	// contributed to ix; ECO cell moves splice exactly those ids.
-	spans    [][2]int          //grlint:guardedby mu
+	l        *Layout           //grlint:guardedby mu
+	cfg      config            //grlint:guardedby mu
+	ix       *plane.Index      //grlint:guardedby mu
 	r        *router.Router    //grlint:guardedby mu
 	passages []congest.Passage //grlint:guardedby mu
 	netIdx   map[string]int    //grlint:guardedby mu
@@ -101,7 +98,7 @@ func NewEngine(l *Layout, opts ...Option) (*Engine, error) {
 	// Clone after Validate so bare-polygon bounding boxes are filled in.
 	e := &Engine{l: l.Clone(), cfg: newConfig(opts)}
 	var err error
-	e.ix, e.spans, err = plane.FromLayoutSpans(e.l)
+	e.ix, err = plane.FromLayout(e.l)
 	if err != nil {
 		return nil, err
 	}

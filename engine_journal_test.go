@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -117,6 +118,33 @@ func TestJournalReplayAfterCompaction(t *testing.T) {
 	}
 	if len(s.Records) != st.Records {
 		t.Fatalf("on-disk records %d, stats say %d", len(s.Records), st.Records)
+	}
+	checkRecovered(t, e, path)
+}
+
+// TestJournalRecoveryAfterFoldedMoves: a journal folded after cell moves
+// stores a base snapshot whose passages must match the obstacle numbering
+// recovery rebuilds from the base layout; otherwise the record replayed on
+// top of the fold splices a mismatched table.
+func TestJournalRecoveryAfterFoldedMoves(t *testing.T) {
+	e, path := journaledEngine(t, 3, WithJournalCompaction(2, 0))
+	moves := []struct {
+		cell   int
+		dx, dy int64
+	}{{4, 6, 0}, {0, 0, 5}, {2, -4, 3}} // the second commit folds the journal
+	for _, mv := range moves {
+		name := e.Layout().Cells[mv.cell].Name
+		commitOps(t, e, func(tx *Edit) error { return tx.MoveCell(name, mv.dx, mv.dy) })
+	}
+	if st, _ := e.JournalStats(); st.Records != 1 {
+		t.Fatalf("journal holds %d records, want 1 after the fold", st.Records)
+	}
+	rec, err := LoadEngineJournal(path, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rec.passages, e.passages) {
+		t.Fatal("journal-recovered passages differ from the live session's")
 	}
 	checkRecovered(t, e, path)
 }

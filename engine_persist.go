@@ -87,7 +87,7 @@ func LoadEngine(r io.Reader, l *Layout, opts ...Option) (*Engine, error) {
 	cfg.congest.Pitch = sess.Pitch
 	e := &Engine{l: lc, cfg: cfg}
 	e.lhash.Store(sess.LayoutHash)
-	if e.ix, e.spans, err = plane.FromLayoutSpans(e.l); err != nil {
+	if e.ix, err = plane.FromLayout(e.l); err != nil {
 		return nil, err
 	}
 	if e.cfg.cornerRule {

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
@@ -327,6 +330,65 @@ func TestSaveRefingerprintsAfterECO(t *testing.T) {
 	}
 	checkSameRoutes(t, e2.Result(), e.Result())
 	checkEngineConsistency(t, e2)
+}
+
+// TestLoadEngineAfterMovesKeepsNumbering: a session saved after cell moves
+// and loaded back numbers its obstacles exactly like the live session, so
+// the same further moves leave both passage tables equal — passages
+// name cells by obstacle id, and a loaded session pairs the snapshot's
+// passages with an index rebuilt from the layout.
+func TestLoadEngineAfterMovesKeepsNumbering(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed))
+			e, err := NewEngine(gridScene(t, 4), WithPitch(4), WithWorkers(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.RouteAll(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			// move commits one random cell move on every session; a move the
+			// placement rules reject must be rejected by all of them.
+			move := func(sessions ...*Engine) {
+				t.Helper()
+				cell := e.Layout().Cells[r.Intn(len(e.Layout().Cells))].Name
+				d := [4][2]int64{{6, 0}, {-6, 0}, {0, 5}, {0, -5}}[r.Intn(4)]
+				var errs []error
+				for _, s := range sessions {
+					tx := s.Edit()
+					if err := tx.MoveCell(cell, d[0], d[1]); err != nil {
+						t.Fatal(err)
+					}
+					_, err := tx.Commit(context.Background())
+					errs = append(errs, err)
+				}
+				for _, err := range errs[1:] {
+					if (err == nil) != (errs[0] == nil) {
+						t.Fatalf("move %s by %v: sessions disagree: %v", cell, d, errs)
+					}
+				}
+			}
+			move(e)
+			move(e)
+			var buf bytes.Buffer
+			if err := e.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			e2, err := LoadEngine(&buf, e.Layout(), WithWorkers(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 3; k++ {
+				move(e, e2)
+			}
+			if !slices.Equal(e2.passages, e.passages) {
+				t.Fatalf("loaded session's passages drifted from the live session's after further moves")
+			}
+			checkSameRoutes(t, e2.Result(), e.Result())
+			checkEngineConsistency(t, e2)
+		})
+	}
 }
 
 // BenchmarkEngineLoad measures the warm-start claim: rebuilding a 64×64

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -37,8 +38,9 @@ func funnelLayout(nNets int) *Layout {
 }
 
 // checkEngineConsistency asserts the session invariant: the live map equals
-// a fresh build over the session's routes, and every found route is legal
-// and connected.
+// a fresh build over the session's routes, every found route is legal and
+// connected, and the index and passages match what a fresh session builds
+// from the layout.
 func checkEngineConsistency(t *testing.T, e *Engine) {
 	t.Helper()
 	if e.cur == nil {
@@ -64,20 +66,21 @@ func checkEngineConsistency(t *testing.T, e *Engine) {
 			}
 		}
 	}
-	// The spans table must resolve every cell to exactly its obstacle
-	// rectangles in the live index (ECO cell moves splice through it).
-	for ci := range e.l.Cells {
-		rects := e.l.Cells[ci].ObstacleRects()
-		s := e.spans[ci]
-		if s[1]-s[0] != len(rects) {
-			t.Fatalf("cell %d span %v, want width %d", ci, s, len(rects))
-		}
-		for k, want := range rects {
-			if got := e.ix.Cell(s[0] + k); got != want {
-				t.Fatalf("cell %d (%s): span obstacle %d is %v, want %v",
-					ci, e.l.Cells[ci].Name, s[0]+k, got, want)
-			}
-		}
+	// The index and passages are exactly what a fresh session builds from
+	// the live layout: same obstacles in the same numbering, same passages.
+	ix, err := plane.FromLayout(e.l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(e.ix.Cells(), ix.Cells()) {
+		t.Fatal("live index obstacles differ from a fresh index over the layout")
+	}
+	passages, err := congest.Extract(e.ix, e.cfg.congest.Pitch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(e.passages, passages) {
+		t.Fatal("live passages differ from a fresh extraction over the index")
 	}
 }
 

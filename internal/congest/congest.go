@@ -10,10 +10,9 @@
 // between cells and the routing boundary — with a wire capacity derived
 // from the gap width and the wiring pitch; it is near-linear in cells
 // (plane-sweep candidates plus interval-tree intrusion stabs, see
-// extract.go), with ExtractEdit splicing a passage list incrementally
-// after an obstacle edit. BuildMap counts how many nets
-// run through each passage; AddNet/RemoveNet splice single nets in and out
-// incrementally. NegotiatePrepared iterates the paper's reroute loop to
+// extract.go), cheap enough that an ECO cell move re-extracts from scratch.
+// BuildMap counts how many nets run through each passage; AddNet/RemoveNet
+// splice single nets in and out incrementally. NegotiatePrepared iterates the paper's reroute loop to
 // convergence, PathFinder-style: after a parallel first pass, each pass
 // sequentially rips one overflowed net at a time out of the live map and
 // reroutes it against a penalty that combines the live present overflow

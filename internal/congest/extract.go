@@ -120,7 +120,7 @@ func admit(ix *plane.Index, p *Passage, pitch geom.Coord) bool {
 // by corridor rect, vertical before horizontal, then the Between pair.
 // The trailing tie-breaks never fire on separated layouts (distinct
 // corridors have distinct rects there); they make the order total so the
-// sweep, the naive extractor and the incremental splice agree exactly.
+// sweep and the naive extractor agree exactly.
 func sortPassages(out []Passage) {
 	sort.Slice(out, func(a, c int) bool {
 		ra, rc := out[a].Rect, out[c].Rect
@@ -371,209 +371,10 @@ func appendSweepPairs(dst [][2]int32, ix *plane.Index, ySweep bool) [][2]int32 {
 	return dst
 }
 
-// appendWindowSweepPairs is appendSweepPairs restricted to the open sweep
-// window (w0, w1): only cells alive somewhere inside the window take part,
-// the active list is pre-seeded with the cells already alive at w0 (their
-// standing adjacencies emitted wholesale), and events at or beyond w1 are
-// dropped — adjacency born at w1 can only matter to corridors whose
-// overlap band lies entirely outside the window. Every facing pair whose
-// corridor band interior meets the window interior is surfaced.
-func appendWindowSweepPairs(dst [][2]int32, ix *plane.Index, ySweep bool, w0, w1 geom.Coord) [][2]int32 {
-	if w1 <= w0 {
-		return dst
-	}
-	var ids []int32
-	if ySweep {
-		ids = ix.AppendYOverlapping(nil, w0, w1)
-	} else {
-		ids = ix.AppendXOverlapping(nil, w0, w1)
-	}
-	if len(ids) == 0 {
-		return dst
-	}
-	line := sweepLine{key: make([]geom.Coord, ix.NumCells())}
-	var events []sweepEvent
-	var initial []int32
-	for _, ci := range ids {
-		c := ix.Cell(int(ci))
-		lo, hi := c.MinY, c.MaxY
-		line.key[ci] = c.MinX
-		if !ySweep {
-			lo, hi = c.MinX, c.MaxX
-			line.key[ci] = c.MinY
-		}
-		if lo <= w0 {
-			initial = append(initial, ci)
-		} else {
-			events = append(events, sweepEvent{at: lo, insert: true, cell: ci})
-		}
-		if hi < w1 {
-			events = append(events, sweepEvent{at: hi, insert: false, cell: ci})
-		}
-	}
-	sort.Slice(initial, func(a, b int) bool { return line.less(initial[a], initial[b]) })
-	line.active = initial
-	for k := 0; k+1 < len(line.active); k++ {
-		dst = append(dst, normPair(line.active[k], line.active[k+1]))
-	}
-	sortEvents(events)
-	for _, e := range events {
-		if e.insert {
-			dst = line.insert(dst, e.cell)
-		} else {
-			dst = line.remove(dst, e.cell)
-		}
-	}
-	return dst
-}
-
-// ExtractEdit incrementally re-extracts the passage set after an obstacle
-// edit (the congestion-side twin of plane.Index.Edit's corner-table
-// splice). Passages the edit cannot have touched are kept — their Between
-// ids renumbered through remap — and only the corridors whose validity
-// could have changed are rediscovered: a corridor's passage status depends
-// on exactly the obstacles strictly intersecting it, so it can flip only
-// if it strictly intersects a removed rectangle (a vanished intruder), or
-// strictly intersects an added rectangle (a fresh intruder), or has an
-// edited cell as one of its own walls. The rediscovery runs the candidate
-// sweeps restricted to the dirty window — the coordinate span of the
-// removed and added rectangles — and admits, via the same interval-tree
-// stab, exactly the candidates matching that relevance test. The
-// expensive work — corridor re-derivation with its intrusion stabs — is
-// thereby confined to the edit neighborhood; what stays proportional to
-// the layout are three cheap per-commit scans (the interior-overlap probe
-// guarding the fallback, the kept-passage remap/filter, and the canonical
-// sort): ~2 ms total on the 64×64 grid against the ~840 ms full
-// re-extraction this replaces.
-//
-// ix is the post-edit index and old the pre-edit passage set extracted at
-// the same pitch; remap maps each pre-edit obstacle id to its post-edit id
-// (-1 for removed ids, mirroring plane.Index.Edit's compact renumbering);
-// removedRects are the removed obstacles' pre-edit rectangles and addedIDs
-// the post-edit ids of the appended obstacles.
-//
-// Equivalence guarantee: the result is exactly Extract(ix, pitch) — same
-// passages, same canonical order — pinned by the randomized property and
-// fuzz tests in extract_prop_test.go and, at the public API level, by
-// TestECOCommitPassagesMatchFreshExtract. Indexes with overlapping
-// obstacle interiors (polygon decompositions) fall back to a full
-// extraction, like Extract itself.
+// ExtractEdit returns Extract(ix, pitch), ignoring old, remap,
+// removedRects and addedIDs: after an obstacle edit the passages are
+// extracted from scratch, so their Between ids follow the numbering of the
+// edited index. Only the perfbench edit probe still calls it.
 func ExtractEdit(ix *plane.Index, pitch geom.Coord, old []Passage, remap []int32, removedRects []geom.Rect, addedIDs []int) ([]Passage, error) {
-	if pitch <= 0 {
-		return nil, fmt.Errorf("congest: pitch must be positive, got %d", pitch)
-	}
-	if hasInteriorOverlap(ix) {
-		return extractNaive(ix, pitch), nil
-	}
-	dirty := append([]geom.Rect(nil), removedRects...)
-	for _, id := range addedIDs {
-		dirty = append(dirty, ix.Cell(id))
-	}
-	intersectsDirty := func(r geom.Rect) bool {
-		for _, d := range dirty {
-			if d.IntersectsStrict(r) {
-				return true
-			}
-		}
-		return false
-	}
-	isAdded := func(id int) bool {
-		for _, a := range addedIDs {
-			if id == a {
-				return true
-			}
-		}
-		return false
-	}
-
-	// The dirty window: the coordinate span of everything that moved.
-	// Every dirty rect lies inside it, so it doubles as the bbox prefilter
-	// for the per-passage dirty test below.
-	var win geom.Rect
-	if len(dirty) > 0 {
-		win = dirty[0]
-		for _, d := range dirty[1:] {
-			win = win.Union(d)
-		}
-	}
-
-	// 1. Keep every passage the edit cannot have touched: walls survive
-	// (renumbered) and no added rectangle pokes into the corridor. Removed
-	// rectangles never block a kept corridor — they were obstacles before
-	// the edit, so a then-valid corridor cannot strictly intersect one.
-	out := make([]Passage, 0, len(old)+16)
-	for _, p := range old {
-		q := p
-		keep := true
-		for s := 0; s < 2 && keep; s++ {
-			if id := p.Between[s]; id >= 0 {
-				if id >= len(remap) || remap[id] < 0 {
-					keep = false
-				} else {
-					q.Between[s] = int(remap[id])
-				}
-			}
-		}
-		if keep && (!win.IntersectsStrict(p.Rect) || !intersectsDirty(p.Rect)) {
-			out = append(out, q)
-		}
-	}
-	if len(dirty) == 0 {
-		sortPassages(out)
-		return out, nil
-	}
-
-	// 2. Rediscover facing pairs inside the window. A pair is relevant —
-	// and, by step 1, not already kept — exactly when one of its walls is
-	// an added obstacle or its corridor strictly intersects a dirty
-	// rectangle.
-	pairs := appendWindowSweepPairs(nil, ix, true, win.MinY, win.MaxY)
-	pairs = appendWindowSweepPairs(pairs, ix, false, win.MinX, win.MaxX)
-	pairs = dedupePairs(pairs)
-	for _, pr := range pairs {
-		a, c := int(pr[0]), int(pr[1])
-		p, ok := pairPassage(ix.Cell(a), ix.Cell(c), a, c)
-		if !ok {
-			continue
-		}
-		if !isAdded(a) && !isAdded(c) && !intersectsDirty(p.Rect) {
-			continue
-		}
-		if admit(ix, &p, pitch) {
-			out = append(out, p)
-		}
-	}
-
-	// 3. Rediscover boundary strips. A strip is relevant under the same
-	// test; the candidate owners are the added cells plus every cell whose
-	// row band (for left/right strips) or column band (top/bottom) meets a
-	// dirty rectangle.
-	b := ix.Bounds()
-	var stripOwners []int32
-	for _, d := range dirty {
-		stripOwners = ix.AppendYOverlapping(stripOwners, d.MinY, d.MaxY)
-		stripOwners = ix.AppendXOverlapping(stripOwners, d.MinX, d.MaxX)
-	}
-	for _, id := range addedIDs {
-		stripOwners = append(stripOwners, int32(id))
-	}
-	sort.Slice(stripOwners, func(a, c int) bool { return stripOwners[a] < stripOwners[c] })
-	var prev int32 = -1
-	for _, ci := range stripOwners {
-		if ci == prev {
-			continue
-		}
-		prev = ci
-		added := isAdded(int(ci))
-		for _, p := range boundaryPassages(b, ix.Cell(int(ci)), int(ci)) {
-			if !added && !intersectsDirty(p.Rect) {
-				continue
-			}
-			if admit(ix, &p, pitch) {
-				out = append(out, p)
-			}
-		}
-	}
-	sortPassages(out)
-	return out, nil
+	return Extract(ix, pitch)
 }

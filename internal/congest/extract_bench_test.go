@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/geom"
 	"repro/internal/plane"
 )
 
@@ -63,31 +62,5 @@ func BenchmarkExtract(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "extract-ms")
 			b.ReportMetric(float64(len(passages)), "passages/op")
 		})
-	}
-}
-
-// BenchmarkExtractEdit measures the incremental splice against the
-// from-scratch re-extraction it replaces inside ECO Commit: one cell of
-// the 64×64 grid moves, and only the corridors in its neighborhood are
-// re-derived.
-func BenchmarkExtractEdit(b *testing.B) {
-	ix := macroIndex(b, 64)
-	old, err := Extract(ix, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Move obstacle 2080 (mid-grid): remove it, re-add it shifted.
-	moved := ix.Cell(2080)
-	ix2, remap, err := ix.Edit([]int{2080}, []geom.Rect{moved.Translate(geom.Pt(4, 3))})
-	if err != nil {
-		b.Fatal(err)
-	}
-	addedIDs := []int{ix.NumCells() - 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ExtractEdit(ix2, 8, old, remap, []geom.Rect{moved}, addedIDs); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

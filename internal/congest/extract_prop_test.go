@@ -10,9 +10,9 @@ import (
 )
 
 // This file pins the sweep-based extractor — plane-sweep facing-pair
-// candidates plus interval-tree intrusion stabs — and the incremental
-// ExtractEdit splice to the quadratic reference extractor, across
-// randomized obstacle fields and random edits. Every field of every
+// candidates plus interval-tree intrusion stabs — to the quadratic
+// reference extractor across randomized obstacle fields, and ExtractEdit
+// to a fresh extraction across random edits. Every field of every
 // passage must match in the canonical order: Between, Rect, Vertical,
 // Width, Capacity. The fuzz targets drive the identical comparisons from
 // arbitrary seeds.
@@ -107,10 +107,9 @@ func TestSweepExtractMatchesNaive(t *testing.T) {
 }
 
 // checkExtractEditAgainstFresh performs a random sequence of obstacle
-// edits — remove a few cells, add a few separated ones (cell moves are a
-// removal plus an addition, exactly how the ECO layer drives Index.Edit) —
-// splicing the passage list incrementally at every step and comparing it
-// to a from-scratch extraction of the edited index.
+// edits — remove a few cells, add a few separated ones — re-extracting the
+// passage list through ExtractEdit at every step and comparing it to a
+// from-scratch extraction of the edited index.
 func checkExtractEditAgainstFresh(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	bounds := geom.R(0, 0, 300, 300)
@@ -245,7 +244,7 @@ func FuzzSweepExtract(f *testing.F) {
 	})
 }
 
-// FuzzExtractEdit explores the incremental-splice-vs-fresh comparison from
+// FuzzExtractEdit explores the ExtractEdit-vs-fresh comparison from
 // arbitrary seeds.
 func FuzzExtractEdit(f *testing.F) {
 	for _, seed := range []int64{0, 2, 11, 99, -8, 1 << 29} {

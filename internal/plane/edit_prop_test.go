@@ -146,6 +146,13 @@ func TestEditRejectsBadInput(t *testing.T) {
 	if _, _, err := ix.Edit([]int{0}, []geom.Rect{geom.R(5, 5, 5, 30)}); err == nil {
 		t.Fatal("degenerate addition must be rejected")
 	}
+	two, err := New(geom.R(0, 0, 100, 100), []geom.Rect{geom.R(10, 10, 20, 20), geom.R(40, 40, 50, 50)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := two.Edit([]int{0, 0, 0}, nil); err == nil {
+		t.Fatal("duplicate removal must be rejected")
+	}
 }
 
 // contains reports whether xs (small) holds v.

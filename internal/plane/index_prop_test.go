@@ -2,7 +2,6 @@ package plane
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -113,25 +112,6 @@ func naiveRectIntersects(rects []geom.Rect, r geom.Rect, exclude ...int) bool {
 	return false
 }
 
-// naiveOverlapping is the brute-force reference for AppendX/YOverlapping,
-// sorted ascending for set comparison.
-func naiveOverlapping(rects []geom.Rect, xAxis bool, lo, hi geom.Coord) []int32 {
-	if hi <= lo {
-		return nil // the open interval is empty
-	}
-	var out []int32
-	for i, c := range rects {
-		l, h := c.MinX, c.MaxX
-		if !xAxis {
-			l, h = c.MinY, c.MaxY
-		}
-		if l < hi && h > lo {
-			out = append(out, int32(i))
-		}
-	}
-	return out
-}
-
 // checkIndexAgainstNaive runs every indexed query against its reference on
 // one random field; shared by the quick.Check test and the fuzz targets.
 func checkIndexAgainstNaive(t *testing.T, seed int64) {
@@ -184,30 +164,6 @@ func checkIndexAgainstNaive(t *testing.T, seed int64) {
 			t.Fatalf("seed=%d RectIntersects(%v, %v) = %v, naive %v", seed, qr, excl, got, want)
 		}
 
-		// AppendX/YOverlapping: unordered id sets vs the linear scan.
-		for _, xAxis := range [2]bool{true, false} {
-			olo := geom.Coord(r.Intn(220) - 10)
-			ohi := olo + geom.Coord(r.Intn(120)) - 10 // sometimes empty/inverted
-			var gotIDs []int32
-			if xAxis {
-				gotIDs = ix.AppendXOverlapping(nil, olo, ohi)
-			} else {
-				gotIDs = ix.AppendYOverlapping(nil, olo, ohi)
-			}
-			sort.Slice(gotIDs, func(a, b int) bool { return gotIDs[a] < gotIDs[b] })
-			wantIDs := naiveOverlapping(rects, xAxis, olo, ohi)
-			if len(gotIDs) != len(wantIDs) {
-				t.Fatalf("seed=%d overlapping(x=%v, %d..%d) = %v, naive %v",
-					seed, xAxis, olo, ohi, gotIDs, wantIDs)
-			}
-			for i := range gotIDs {
-				if gotIDs[i] != wantIDs[i] {
-					t.Fatalf("seed=%d overlapping(x=%v, %d..%d) = %v, naive %v",
-						seed, xAxis, olo, ohi, gotIDs, wantIDs)
-				}
-			}
-		}
-
 		lo := geom.Coord(r.Intn(220) - 10)
 		hi := lo + geom.Coord(r.Intn(120))
 		for _, vertical := range [2]bool{true, false} {
@@ -242,9 +198,9 @@ func TestIndexedQueriesMatchNaive(t *testing.T) {
 	}
 }
 
-// TestOverlayMatchesFreshIndex pins the merge-based Overlay to an index
-// built from scratch over the same cells: every query must agree, because
-// Overlay is what the sequential baseline leans on once per routed net.
+// TestOverlayMatchesFreshIndex pins Overlay to an index built from scratch
+// over the same cells: every query must agree, because Overlay is what the
+// sequential baseline leans on once per routed net.
 func TestOverlayMatchesFreshIndex(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -67,10 +67,12 @@ func New(bounds geom.Rect, cells []geom.Rect) (*Index, error) {
 	return ix, nil
 }
 
-// FromLayout builds an index whose obstacles are the layout's cells.
-// Rectangular cells contribute their box; polygon cells contribute their
-// double decomposition, so obstacle indices do not correspond one-to-one
-// with layout cell ids when polygons are present.
+// FromLayout builds an index whose obstacles are the layout's cells, in
+// layout order. Rectangular cells contribute their box; polygon cells
+// contribute their double decomposition, so obstacle indices do not
+// correspond one-to-one with layout cell ids when polygons are present.
+// Every session — fresh, loaded or journal-replayed, and after each ECO
+// cell move — builds its index here, so all of them number obstacles alike.
 func FromLayout(l *layout.Layout) (*Index, error) {
 	ix, _, err := FromLayoutSpans(l)
 	return ix, err
@@ -78,8 +80,7 @@ func FromLayout(l *layout.Layout) (*Index, error) {
 
 // FromLayoutSpans is FromLayout returning, additionally, the half-open
 // obstacle-id range [spans[i][0], spans[i][1]) each layout cell contributed.
-// The ECO layer uses the mapping to splice a moved cell's obstacles out of
-// the index without rebuilding it from scratch (see Edit).
+// Only the perfbench edit probe still asks for the ranges.
 func FromLayoutSpans(l *layout.Layout) (*Index, [][2]int, error) {
 	var rects []geom.Rect
 	spans := make([][2]int, len(l.Cells))
@@ -96,61 +97,28 @@ func FromLayoutSpans(l *layout.Layout) (*Index, [][2]int, error) {
 }
 
 // Overlay returns a new index containing the receiver's obstacles plus the
-// extra rectangles. The receiver is unchanged. The receiver's corner tables
-// are merged with freshly sorted tables of the extras — O((n+m) + m log m)
-// instead of re-sorting all n+m cells from scratch, which matters because
-// the sequential baseline overlays once per routed net. The interval trees
-// are rebuilt, but from the merged corner tables, so that costs
-// O((n+m) log(n+m)) partition-and-file work with no comparator re-sorts.
+// extra rectangles, which take the ids after the receiver's. The receiver
+// is unchanged.
 func (ix *Index) Overlay(extra []geom.Rect) (*Index, error) {
-	n := len(ix.cells)
-	out := &Index{bounds: ix.bounds, cells: make([]geom.Rect, 0, n+len(extra))}
-	out.cells = append(out.cells, ix.cells...)
-	out.cells = append(out.cells, extra...)
-	for i := n; i < len(out.cells); i++ {
-		if c := out.cells[i]; !c.IsValid() || c.Width() <= 0 || c.Height() <= 0 {
-			return nil, fmt.Errorf("plane: obstacle %d %v must have positive area", i-n, c)
-		}
-	}
-	// Sort the extras alone, then merge with the receiver's sorted state.
-	sub := &Index{cells: out.cells} // ids n..n+m-1 index the combined slice
-	sub.buildCorners(n, len(out.cells))
-	out.cornersX = mergeCorners(ix.cornersX, sub.cornersX)
-	out.cornersY = mergeCorners(ix.cornersY, sub.cornersY)
-	out.xtree = buildIntervalTree(xSpans(out.cells), out.cornersX)
-	out.ytree = buildIntervalTree(ySpans(out.cells), out.cornersY)
-	return out, nil
+	out, _, err := ix.Edit(nil, extra)
+	return out, err
 }
 
 // Edit returns a new index with the obstacles listed in removed deleted and
 // the extra rectangles appended; the receiver is unchanged. Surviving
 // obstacles keep their relative order but are renumbered compactly, with
-// the added rectangles taking the ids after them. The returned remap
-// records that renumbering authoritatively — remap[oldID] is the
-// obstacle's id in the new index, or -1 for removed ids — so callers that
-// track obstacle ids (the ECO layer's per-cell spans, the congestion
-// passage splice) consume the numbering Edit actually applied instead of
-// re-deriving it. Like Overlay, the corner tables are not re-sorted:
-// the survivors are filtered out of the receiver's sorted tables (a
-// monotone renumbering preserves the (At, Cell) order) and merged with
-// freshly sorted tables of the additions, so an edit costs
-// O(n + m log m) table work plus the interval-tree rebuild.
+// the added rectangles taking the ids after them; remap[oldID] is an
+// obstacle's id in the new index, or -1 for removed ids. The derived
+// tables are rebuilt from scratch, exactly as New builds them. Removed ids
+// must be in range and distinct.
 func (ix *Index) Edit(removed []int, added []geom.Rect) (*Index, []int32, error) {
-	if len(removed) == 0 {
-		out, err := ix.Overlay(added)
-		if err != nil {
-			return nil, nil, err
-		}
-		remap := make([]int32, len(ix.cells))
-		for i := range remap {
-			remap[i] = int32(i)
-		}
-		return out, remap, nil
-	}
 	drop := make([]bool, len(ix.cells))
 	for _, id := range removed {
 		if id < 0 || id >= len(ix.cells) {
 			return nil, nil, fmt.Errorf("plane: removed obstacle %d out of range [0,%d)", id, len(ix.cells))
+		}
+		if drop[id] {
+			return nil, nil, fmt.Errorf("plane: removed obstacle %d listed twice", id)
 		}
 		drop[id] = true
 	}
@@ -165,54 +133,28 @@ func (ix *Index) Edit(removed []int, added []geom.Rect) (*Index, []int32, error)
 		remap[i] = int32(len(out.cells))
 		out.cells = append(out.cells, c)
 	}
-	base := len(out.cells)
+	for i, c := range added {
+		if !c.IsValid() || c.Width() <= 0 || c.Height() <= 0 {
+			return nil, nil, fmt.Errorf("plane: obstacle %d %v must have positive area", i, c)
+		}
+	}
 	out.cells = append(out.cells, added...)
-	for i := base; i < len(out.cells); i++ {
-		if c := out.cells[i]; !c.IsValid() || c.Width() <= 0 || c.Height() <= 0 {
-			return nil, nil, fmt.Errorf("plane: obstacle %d %v must have positive area", i-base, c)
-		}
-	}
-	filter := func(tab []Corner) []Corner {
-		kept := make([]Corner, 0, 2*base)
-		for _, c := range tab {
-			if r := remap[c.Cell]; r >= 0 {
-				kept = append(kept, Corner{At: c.At, Cell: r})
-			}
-		}
-		return kept
-	}
-	sub := &Index{cells: out.cells} // ids base.. index the combined slice
-	sub.buildCorners(base, len(out.cells))
-	out.cornersX = mergeCorners(filter(ix.cornersX), sub.cornersX)
-	out.cornersY = mergeCorners(filter(ix.cornersY), sub.cornersY)
-	out.xtree = buildIntervalTree(xSpans(out.cells), out.cornersX)
-	out.ytree = buildIntervalTree(ySpans(out.cells), out.cornersY)
+	out.reindex()
 	return out, remap, nil
 }
 
 // reindex rebuilds every derived structure from scratch.
 func (ix *Index) reindex() {
-	ix.buildCorners(0, len(ix.cells))
-	ix.xtree = buildIntervalTree(xSpans(ix.cells), ix.cornersX)
-	ix.ytree = buildIntervalTree(ySpans(ix.cells), ix.cornersY)
-}
-
-// buildCorners builds the two corner tables for the cell id range [lo, hi).
-// New indexes the whole slice; Overlay indexes just the appended extras and
-// merges.
-func (ix *Index) buildCorners(lo, hi int) {
-	n := hi - lo
-	c := ix.cells
-	ix.cornersX = make([]Corner, 0, 2*n)
-	ix.cornersY = make([]Corner, 0, 2*n)
-	for i := lo; i < hi; i++ {
-		ix.cornersX = append(ix.cornersX,
-			Corner{At: c[i].MinX, Cell: int32(i)}, Corner{At: c[i].MaxX, Cell: int32(i)})
-		ix.cornersY = append(ix.cornersY,
-			Corner{At: c[i].MinY, Cell: int32(i)}, Corner{At: c[i].MaxY, Cell: int32(i)})
+	ix.cornersX = make([]Corner, 0, 2*len(ix.cells))
+	ix.cornersY = make([]Corner, 0, 2*len(ix.cells))
+	for i, c := range ix.cells {
+		ix.cornersX = append(ix.cornersX, Corner{At: c.MinX, Cell: int32(i)}, Corner{At: c.MaxX, Cell: int32(i)})
+		ix.cornersY = append(ix.cornersY, Corner{At: c.MinY, Cell: int32(i)}, Corner{At: c.MaxY, Cell: int32(i)})
 	}
 	sort.Slice(ix.cornersX, func(a, b int) bool { return cornerLess(ix.cornersX[a], ix.cornersX[b]) })
 	sort.Slice(ix.cornersY, func(a, b int) bool { return cornerLess(ix.cornersY[a], ix.cornersY[b]) })
+	ix.xtree = buildIntervalTree(xSpans(ix.cells), ix.cornersX)
+	ix.ytree = buildIntervalTree(ySpans(ix.cells), ix.cornersY)
 }
 
 func cornerLess(a, b Corner) bool {
@@ -220,23 +162,6 @@ func cornerLess(a, b Corner) bool {
 		return a.At < b.At
 	}
 	return a.Cell < b.Cell
-}
-
-// mergeCorners merges two corner tables sorted by (At, Cell).
-func mergeCorners(a, b []Corner) []Corner {
-	out := make([]Corner, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if cornerLess(a[i], b[j]) {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }
 
 // Bounds returns the routing area.
@@ -297,28 +222,6 @@ func (ix *Index) RectIntersects(r geom.Rect, exclude ...int) bool {
 		return ix.xtree.overlapUntil(r.MinX, r.MaxX, hit)
 	}
 	return ix.ytree.overlapUntil(r.MinY, r.MaxY, hit)
-}
-
-// AppendXOverlapping appends to dst the ids of every obstacle whose x-span
-// strictly overlaps the open interval (lo, hi) — MinX < hi && MaxX > lo —
-// and returns the extended slice. Each id appears at most once, in
-// unspecified order. The congestion sweep uses it to enumerate the cells
-// alive inside a sweep window.
-func (ix *Index) AppendXOverlapping(dst []int32, lo, hi geom.Coord) []int32 {
-	ix.xtree.overlapUntil(lo, hi, func(ci int32) bool {
-		dst = append(dst, ci)
-		return false
-	})
-	return dst
-}
-
-// AppendYOverlapping is AppendXOverlapping for y-spans.
-func (ix *Index) AppendYOverlapping(dst []int32, lo, hi geom.Coord) []int32 {
-	ix.ytree.overlapUntil(lo, hi, func(ci int32) bool {
-		dst = append(dst, ci)
-		return false
-	})
-	return dst
 }
 
 // InBounds reports whether p lies within the routing area (boundary
