@@ -169,9 +169,9 @@ func checkIndexAgainstNaive(t *testing.T, seed int64) {
 		for _, vertical := range [2]bool{true, false} {
 			var gotC []Corner
 			if vertical {
-				gotC = ix.AppendCornersX(nil, lo, hi)
+				gotC = ix.CornersX(lo, hi)
 			} else {
-				gotC = ix.AppendCornersY(nil, lo, hi)
+				gotC = ix.CornersY(lo, hi)
 			}
 			wantC := naiveCornerRange(rects, vertical, lo, hi)
 			if len(gotC) != len(wantC) {

@@ -273,27 +273,21 @@ func (ix *Index) BoundaryCells(p geom.Point, dst []int) []int {
 	return dst
 }
 
-// AppendCornersX appends to dst every corner table entry whose x lies
-// strictly inside (lo, hi) — the candidate turn coordinates for a horizontal
-// ray corridor — and returns the extended slice. Entries arrive in (x, cell)
-// order.
-func (ix *Index) AppendCornersX(dst []Corner, lo, hi geom.Coord) []Corner {
-	return appendCornerRange(dst, ix.cornersX, lo, hi)
-}
+// CornersX returns the corner table entries whose x lies strictly inside
+// (lo, hi) — the candidate turn coordinates for a horizontal ray corridor.
+// Entries arrive in (x, cell) order. The slice is a view of the index's
+// own table, not a copy: callers must not modify it.
+func (ix *Index) CornersX(lo, hi geom.Coord) []Corner { return cornerRange(ix.cornersX, lo, hi) }
 
-// AppendCornersY is AppendCornersX for horizontal edge coordinates (vertical
-// ray corridors).
-func (ix *Index) AppendCornersY(dst []Corner, lo, hi geom.Coord) []Corner {
-	return appendCornerRange(dst, ix.cornersY, lo, hi)
-}
+// CornersY is CornersX for horizontal edge coordinates (vertical ray
+// corridors).
+func (ix *Index) CornersY(lo, hi geom.Coord) []Corner { return cornerRange(ix.cornersY, lo, hi) }
 
-// appendCornerRange binary-searches the table for the open interval (lo, hi).
-func appendCornerRange(dst []Corner, table []Corner, lo, hi geom.Coord) []Corner {
+// cornerRange binary-searches the table for the open interval (lo, hi).
+func cornerRange(table []Corner, lo, hi geom.Coord) []Corner {
 	i := sort.Search(len(table), func(k int) bool { return table[k].At > lo })
-	for ; i < len(table) && table[i].At < hi; i++ {
-		dst = append(dst, table[i])
-	}
-	return dst
+	j := i + sort.Search(len(table)-i, func(k int) bool { return table[i+k].At >= hi })
+	return table[i:j:j]
 }
 
 // Hit describes the outcome of a ray query.

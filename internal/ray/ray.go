@@ -21,7 +21,9 @@
 package ray
 
 import (
+	"cmp"
 	"slices"
+	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/plane"
@@ -64,10 +66,10 @@ type Gen struct {
 func (g *Gen) Successors(at, guide geom.Point, emit func(next geom.Point, via geom.Dir)) {
 	b := g.Ix.Bounds()
 
-	// emitRay casts one ray, emitting the final stop point plus an escape
-	// point at every visible obstacle-corner projection along the ray (see
+	// emitRay casts one ray, emitting the final stop point plus one escape
+	// point per visible obstacle-corner line crossing the ray (see
 	// cornerProjections) — the track-graph vertices a shortest route may
-	// need to turn at.
+	// need to turn at, each emitted once.
 	emitRay := func(d geom.Dir, limit geom.Coord) {
 		h := g.Ix.RayHit(at, d, limit)
 		var next geom.Point
@@ -125,78 +127,92 @@ func (g *Gen) Successors(at, guide geom.Point, emit func(next geom.Point, via ge
 // projection counts only when the perpendicular segment from the corner to
 // the ray is unobstructed — otherwise the crossing lies on a different
 // maximal free segment of the same line and is not a track vertex.
+//
+// Each track vertex is emitted once, however many cells share its edge
+// line (a whole row or column of a macro grid does). The emitted stream is
+// a full cell scan's — ascending cell, then coordinate — with the repeats
+// dropped: a line's vertex is credited to the lowest-id cell on it whose
+// projection is visible, and vertices are emitted in (cell, coordinate)
+// order. A repeat would have been a no-op for the search anyway (same
+// point, direction and cost as the first), so only the generated count
+// differs from emitting every cell's projection.
 func (g *Gen) cornerProjections(at geom.Point, d geom.Dir, stop geom.Coord, emit func(geom.Point, geom.Dir)) {
 	horiz := d.Horizontal()
-	var lo, hi geom.Coord
-	if horiz {
-		lo, hi = geom.Min(at.X, stop), geom.Max(at.X, stop)
-	} else {
-		lo, hi = geom.Min(at.Y, stop), geom.Max(at.Y, stop)
-	}
-	// Candidate corners come from the index's corner tables restricted to the
-	// ray's open corridor (lo, hi) — O(log n + candidates) instead of a scan
-	// over every cell. The stack buffer keeps the common case allocation-free.
-	var buf [32]plane.Corner
 	var cands []plane.Corner
 	if horiz {
-		cands = g.Ix.AppendCornersX(buf[:0], lo, hi)
+		cands = g.Ix.CornersX(geom.Min(at.X, stop), geom.Max(at.X, stop))
 	} else {
-		cands = g.Ix.AppendCornersY(buf[:0], lo, hi)
+		cands = g.Ix.CornersY(geom.Min(at.Y, stop), geom.Max(at.Y, stop))
 	}
-	// The table is (coordinate, cell)-ordered; successor emission order is
-	// part of the router's determinism contract and follows the cell order a
-	// full scan would produce, so re-sort the candidates by (cell,
-	// coordinate). A channel-spanning ray on a macro grid can collect
-	// thousands of candidates in near-transposed order, so this must be a
-	// real sort, not an insertion pass. The keys are distinct (a cell's two
-	// corners differ), so the unstable sort is still deterministic.
-	slices.SortFunc(cands, func(a, b plane.Corner) int {
+	// The corridor's entries are (coordinate, cell)-ordered, so each edge
+	// line is one run with its cells ascending. Keep the first visible
+	// entry of every run and skip the rest of it; the stack buffer keeps
+	// the common case allocation-free.
+	var buf [32]plane.Corner
+	lines := buf[:0]
+	for i := 0; i < len(cands); {
+		line := cands[i].At
+		for ; i < len(cands) && cands[i].At == line; i++ {
+			if g.projectionVisible(at, horiz, cands[i]) {
+				lines = append(lines, cands[i])
+				rest := cands[i+1:]
+				i += 1 + sort.Search(len(rest), func(k int) bool { return rest[k].At > line })
+				break
+			}
+		}
+	}
+	// At most one survivor per line: re-sort into the (cell, coordinate)
+	// order of a full cell scan, which the router's deterministic
+	// tie-breaking depends on. The keys are distinct (coordinates are), so
+	// the unstable sort is still deterministic.
+	slices.SortFunc(lines, func(a, b plane.Corner) int {
 		if a.Cell != b.Cell {
 			return int(a.Cell - b.Cell)
 		}
-		switch {
-		case a.At < b.At:
-			return -1
-		case a.At > b.At:
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.At, b.At)
 	})
-	for _, cd := range cands {
-		c := g.Ix.Cell(int(cd.Cell))
+	for _, cd := range lines {
 		if horiz {
-			// Nearest corner row of this cell relative to the ray line. A
-			// ray line strictly inside the cell's span cannot cross its
-			// corner tracks without having been blocked first.
-			var cy geom.Coord
-			switch {
-			case at.Y <= c.MinY:
-				cy = c.MinY
-			case at.Y >= c.MaxY:
-				cy = c.MaxY
-			default:
-				continue
-			}
-			q := geom.Pt(cd.At, at.Y)
-			if _, blocked := g.Ix.SegBlocked(geom.S(geom.Pt(cd.At, cy), q)); !blocked {
-				emit(q, d)
-			}
+			emit(geom.Pt(cd.At, at.Y), d)
 		} else {
-			var cx geom.Coord
-			switch {
-			case at.X <= c.MinX:
-				cx = c.MinX
-			case at.X >= c.MaxX:
-				cx = c.MaxX
-			default:
-				continue
-			}
-			q := geom.Pt(at.X, cd.At)
-			if _, blocked := g.Ix.SegBlocked(geom.S(geom.Pt(cx, cd.At), q)); !blocked {
-				emit(q, d)
-			}
+			emit(geom.Pt(at.X, cd.At), d)
 		}
 	}
+}
+
+// projectionVisible reports whether the corner entry cd projects onto the
+// ray line through `at` (horizontal when horiz). A ray line strictly inside
+// the cell's cross span cannot cross its corner tracks without having been
+// blocked first; otherwise the perpendicular segment from the cell's
+// nearest corner to the ray must be unobstructed.
+func (g *Gen) projectionVisible(at geom.Point, horiz bool, cd plane.Corner) bool {
+	c := g.Ix.Cell(int(cd.Cell))
+	var seg geom.Seg
+	if horiz {
+		var cy geom.Coord
+		switch {
+		case at.Y <= c.MinY:
+			cy = c.MinY
+		case at.Y >= c.MaxY:
+			cy = c.MaxY
+		default:
+			return false
+		}
+		seg = geom.S(geom.Pt(cd.At, cy), geom.Pt(cd.At, at.Y))
+	} else {
+		var cx geom.Coord
+		switch {
+		case at.X <= c.MinX:
+			cx = c.MinX
+		case at.X >= c.MaxX:
+			cx = c.MaxX
+		default:
+			return false
+		}
+		seg = geom.S(geom.Pt(cx, cd.At), geom.Pt(at.X, cd.At))
+	}
+	_, blocked := g.Ix.SegBlocked(seg)
+	return !blocked
 }
 
 // hug emits slides along every obstacle edge containing `at`.

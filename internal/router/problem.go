@@ -34,8 +34,10 @@ const indexThreshold = 16
 // the paper's modification of the spanning-tree algorithm.
 //
 // On multi-terminal nets the partial tree reaches hundreds of segments, and
-// nearest/crossing run once per generated node, so large sets are answered
-// from a targetIndex of per-axis sorted tables instead of the linear scans.
+// the search asks nearest once per expansion (the ray guide) and once per
+// new node (the heuristic) and crossing once per emitted successor, so
+// large sets are answered from a targetIndex of per-axis sorted tables
+// instead of the linear scans.
 // RouteNet mutates one shared set as the tree accretes (addPoints/addSegs);
 // the index is brought up to date incrementally by prepare, which the
 // search core invokes once per run (search.PreparedProblem).
@@ -359,10 +361,14 @@ func (ix *targetIndex) contains(p geom.Point) bool {
 // best full distance found — candidates at exactly the best distance are
 // still visited, so the lexicographic tie-break sees every contender.
 //
-// A segment whose span contains p's cross coordinate contributes its clamp
-// point at full distance equal to the axis distance, so it is found the
-// moment its frontier is reached; segments beyond p's span contribute via
-// their endpoints in the point tables.
+// A frontier advances one coordinate line at a time, not one entry: a
+// Steiner trunk files dozens of points and segments on one x, and all of
+// them share the frontier's axis distance. Of a line's points only the two
+// bracketing p's cross coordinate are considered, binary-searched; every
+// other one is strictly farther than one of them. A line's segments yield
+// one candidate, the clamp point, if any of them spans p's cross
+// coordinate; its full distance then equals the axis distance. Segments
+// beyond p's span contribute via their endpoints in the point tables.
 func (ix *targetIndex) nearest(p geom.Point) (geom.Point, geom.Coord) {
 	best := geom.Point{}
 	bestD := geom.Coord(-1)
@@ -416,42 +422,121 @@ func (ix *targetIndex) nearest(p geom.Point) (geom.Point, geom.Coord) {
 		if minF < 0 || (bestD >= 0 && minD > bestD) {
 			break
 		}
+		// Every entry of a run shares the frontier's axis distance, so a
+		// run is retired in one step: of a point run only the two entries
+		// bracketing p's cross coordinate can be nearest (the others are
+		// strictly farther along the run's line), and a segment run
+		// contributes one clamp point if any of its segments covers p.
 		switch minF {
 		case 0:
-			consider(ix.ptsByX[xl])
-			xl--
+			x := ix.ptsByX[xl].X
+			s := runStart(xl, func(k int) bool { return ix.ptsByX[k].X == x })
+			bracketRun(ix.ptsByX[s:xl+1], p.Y, false, consider)
+			xl = s - 1
 		case 1:
-			consider(ix.ptsByX[xr])
-			xr++
+			x := ix.ptsByX[xr].X
+			e := runEnd(xr, len(ix.ptsByX), func(k int) bool { return ix.ptsByX[k].X == x })
+			bracketRun(ix.ptsByX[xr:e], p.Y, false, consider)
+			xr = e
 		case 2:
-			consider(ix.ptsByY[yl])
-			yl--
+			y := ix.ptsByY[yl].Y
+			s := runStart(yl, func(k int) bool { return ix.ptsByY[k].Y == y })
+			bracketRun(ix.ptsByY[s:yl+1], p.X, true, consider)
+			yl = s - 1
 		case 3:
-			consider(ix.ptsByY[yr])
-			yr++
+			y := ix.ptsByY[yr].Y
+			e := runEnd(yr, len(ix.ptsByY), func(k int) bool { return ix.ptsByY[k].Y == y })
+			bracketRun(ix.ptsByY[yr:e], p.X, true, consider)
+			yr = e
 		case 4:
-			if e := ix.vsegs[vl]; e.Lo <= p.Y && p.Y <= e.Hi {
-				consider(geom.Pt(e.At, p.Y))
+			at := ix.vsegs[vl].At
+			s := runStart(vl, func(k int) bool { return ix.vsegs[k].At == at })
+			if runCovers(ix.vsegs[s:vl+1], p.Y) {
+				consider(geom.Pt(at, p.Y))
 			}
-			vl--
+			vl = s - 1
 		case 5:
-			if e := ix.vsegs[vr]; e.Lo <= p.Y && p.Y <= e.Hi {
-				consider(geom.Pt(e.At, p.Y))
+			at := ix.vsegs[vr].At
+			e := runEnd(vr, len(ix.vsegs), func(k int) bool { return ix.vsegs[k].At == at })
+			if runCovers(ix.vsegs[vr:e], p.Y) {
+				consider(geom.Pt(at, p.Y))
 			}
-			vr++
+			vr = e
 		case 6:
-			if e := ix.hsegs[hl]; e.Lo <= p.X && p.X <= e.Hi {
-				consider(geom.Pt(p.X, e.At))
+			at := ix.hsegs[hl].At
+			s := runStart(hl, func(k int) bool { return ix.hsegs[k].At == at })
+			if runCovers(ix.hsegs[s:hl+1], p.X) {
+				consider(geom.Pt(p.X, at))
 			}
-			hl--
+			hl = s - 1
 		case 7:
-			if e := ix.hsegs[hr]; e.Lo <= p.X && p.X <= e.Hi {
-				consider(geom.Pt(p.X, e.At))
+			at := ix.hsegs[hr].At
+			e := runEnd(hr, len(ix.hsegs), func(k int) bool { return ix.hsegs[k].At == at })
+			if runCovers(ix.hsegs[hr:e], p.X) {
+				consider(geom.Pt(p.X, at))
 			}
-			hr++
+			hr = e
 		}
 	}
 	return best, bestD
+}
+
+// runEnd returns the end of the run of entries in [i, n) for which in
+// holds, given in(i). It probes 1, 2, 4, … entries ahead and
+// binary-searches the last gap, so a run costs O(log run), not O(log n).
+func runEnd(i, n int, in func(int) bool) int {
+	step := 1
+	for i+step < n && in(i+step) {
+		i += step
+		step *= 2
+	}
+	hi := min(i+step, n)
+	return i + 1 + sort.Search(hi-i-1, func(k int) bool { return !in(i + 1 + k) })
+}
+
+// runStart is runEnd toward lower indices: the first index of the run of
+// entries ending at i for which in holds, given in(i).
+func runStart(i int, in func(int) bool) int {
+	step := 1
+	for i-step >= 0 && in(i-step) {
+		i -= step
+		step *= 2
+	}
+	lo := max(i-step, -1)
+	return lo + 1 + sort.Search(i-lo-1, func(k int) bool { return in(lo + 1 + k) })
+}
+
+// bracketRun considers the entries of a point run — one line, sorted by the
+// cross coordinate (x when byX, else y) — that bracket c: the last one
+// below c and the first one at or above it. Every other entry is strictly
+// farther from any point whose cross coordinate is c, or equal to a
+// bracketing one.
+func bracketRun(run []geom.Point, c geom.Coord, byX bool, consider func(geom.Point)) {
+	m := sort.Search(len(run), func(k int) bool {
+		if byX {
+			return run[k].X >= c
+		}
+		return run[k].Y >= c
+	})
+	if m < len(run) {
+		consider(run[m])
+	}
+	if m > 0 {
+		consider(run[m-1])
+	}
+}
+
+// runCovers reports whether any segment of a run — one line, sorted by
+// (Lo, Hi) — spans c. Only segments with Lo <= c can; the scan walks them
+// from the last one down, since on a tree's trunk of abutting segments
+// that one covers c whenever any does.
+func runCovers(run []targetSpan, c geom.Coord) bool {
+	for i := sort.Search(len(run), func(k int) bool { return run[k].Lo > c }) - 1; i >= 0; i-- {
+		if run[i].Hi >= c {
+			return true
+		}
+	}
+	return false
 }
 
 // crossing is the indexed first-contact query for a non-degenerate travel

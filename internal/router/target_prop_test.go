@@ -96,9 +96,12 @@ func naiveContains(points []geom.Point, segs []geom.Seg, p geom.Point) bool {
 // randomTargets builds a random target set. Coordinates are drawn from a
 // small range so distance ties, collinear overlaps, and shared edge
 // coordinates occur constantly — the cases where the tie-break rules
-// actually discriminate.
+// actually discriminate. One set in four is trunk-shaped instead.
 func randomTargets(r *rand.Rand) ([]geom.Point, []geom.Seg) {
 	coord := func() geom.Coord { return geom.Coord(r.Intn(41) - 20) }
+	if r.Intn(4) == 0 {
+		return trunkTargets(r, coord)
+	}
 	pts := make([]geom.Point, r.Intn(24))
 	for i := range pts {
 		pts[i] = geom.Pt(coord(), coord())
@@ -113,6 +116,36 @@ func randomTargets(r *rand.Rand) ([]geom.Point, []geom.Seg) {
 			segs = append(segs, geom.S(a, geom.Pt(a.X, coord())))
 		default: // degenerate
 			segs = append(segs, geom.S(a, a))
+		}
+	}
+	return pts, segs
+}
+
+// trunkTargets builds the partial Steiner tree of a column-control net: a
+// vertical trunk of segments on one x — mostly abutting, sometimes
+// overlapping or leaving a gap — with pins on it and short horizontal
+// branches out to off-trunk pins. Whole runs of table entries then share
+// one coordinate, the shape the indexed nearest retires a line at a time.
+func trunkTargets(r *rand.Rand, coord func() geom.Coord) ([]geom.Point, []geom.Seg) {
+	x := coord()
+	var pts []geom.Point
+	var segs []geom.Seg
+	for y := geom.Coord(-20 + r.Intn(6)); y < 20; {
+		next := geom.Min(y+geom.Coord(r.Intn(8)+1), 20)
+		segs = append(segs, geom.S(geom.Pt(x, y), geom.Pt(x, next)))
+		pts = append(pts, geom.Pt(x, y))
+		if r.Intn(3) == 0 { // branch out to an off-trunk pin
+			bx := x + geom.Coord(r.Intn(11)-5)
+			segs = append(segs, geom.S(geom.Pt(x, next), geom.Pt(bx, next)))
+			pts = append(pts, geom.Pt(bx, next))
+		}
+		switch r.Intn(6) {
+		case 0: // overlap the next trunk segment with this one
+			y = next - geom.Coord(r.Intn(int(next-y)))
+		case 1: // leave a gap in the trunk
+			y = next + geom.Coord(r.Intn(3)+1)
+		default:
+			y = next
 		}
 	}
 	return pts, segs
@@ -142,6 +175,15 @@ func checkTargetSetAgainstNaive(t *testing.T, seed int64) {
 	coord := func() geom.Coord { return geom.Coord(r.Intn(49) - 24) }
 	for trial := 0; trial < 80; trial++ {
 		p := geom.Pt(coord(), coord())
+		if len(pts) > 0 && r.Intn(3) == 0 {
+			// Collinear with a target point: on a trunk, the query shares
+			// the trunk's x (or a pin's y).
+			if q := pts[r.Intn(len(pts))]; r.Intn(2) == 0 {
+				p.X = q.X
+			} else {
+				p.Y = q.Y
+			}
+		}
 
 		gotQ, gotD := ts.nearest(p)
 		wantQ, wantD := naiveNearest(pts, segs, p)
